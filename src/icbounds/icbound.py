@@ -22,6 +22,15 @@ after which every cell splits by the value of f(., y^i) and empty parts are
 dropped.  Cells where q is 0 or 1 contribute nothing and never split further
 in effect, which is what makes deterministic histories prune.
 
+The refinement, and with it every cell's (w, q), does not depend on the
+channel; only phi does.  It is written once, as the generator ``_refine``,
+which yields each step's cell masses and q.  ``compute_bound`` prices each
+step as it is yielded and stores nothing.  ``_RefinementTrace`` keeps one run
+as flat arrays, so that pricing one table under many channels -- the
+bisection over the error rate in ``prbox.max_bias`` -- refines once and then
+only evaluates phi again.  Greedy ordering search shares the cell-splitting
+step.
+
 Channel semantics: the success constraint is taken at equality -- the guess
 is correct with probability exactly one minus the stated error rate,
 independently for every input pair.  Every report records this convention.
@@ -201,37 +210,41 @@ def _support(f: BooleanFunction, dist: InputDistribution):
     return xs, w[xs]
 
 
-def _bound_terms(f: BooleanFunction, xs, wts: np.ndarray, perm, channel: ChannelModel) -> list:
-    """Step terms for one ordering.
+def _split(labels: np.ndarray, col: np.ndarray, ncells: int):
+    """Split every cell by the value in ``col``; relabel compactly without sorting.
 
-    The partition of X by the history of function values is held as one
-    integer cell label per active input.  Cells reduced to a single input
-    have a conditional probability of exactly 0 or 1 and contribute nothing
-    to any later term, so they are retired from the active set as soon as
-    they appear; once nothing is active the remaining terms are zero.
+    Returns the new cell label of every input and the size of every new cell.
+    """
+    key = labels * 2 + col
+    counts = np.bincount(key, minlength=2 * ncells)
+    nonzero = counts > 0
+    return (np.cumsum(nonzero) - 1)[key], counts[nonzero]
+
+
+def _refine(f: BooleanFunction, xs, wts: np.ndarray, perm):
+    """Refine the partition of X one Bob input at a time, in the order ``perm``.
+
+    Yields, for each step, the mass of every cell and the clipped conditional
+    probability q of f(x, y) = 1 in it; the step's term is mass @ phi(q).
+    The partition is held as one integer cell label per active input.  Cells
+    reduced to a single input have a conditional probability of exactly 0 or
+    1 and contribute nothing to any later term, so they are retired from the
+    active set as soon as they appear; once nothing is active the generator
+    stops, and every remaining term is zero.
     """
     if xs is None:
         xs = np.arange(f.x_size, dtype=np.int64)
     labels = np.zeros(wts.size, dtype=np.int64)
     ncells = 1
-    terms = []
     for y in perm:
         if xs.size == 0:
-            terms.append(0.0)
-            continue
+            return
         col = f.bits_at(xs, y).astype(np.int64)
         mass = np.bincount(labels, weights=wts, minlength=ncells)
         ones = np.bincount(labels, weights=wts * col, minlength=ncells)
-        q = np.clip(ones / mass, 0.0, 1.0)
-        terms.append(float(mass @ channel.phi(q)))
-        # Split every cell by the new value; relabel compactly without sorting.
-        key = labels * 2 + col
-        counts = np.bincount(key, minlength=2 * ncells)
-        nonzero = counts > 0
-        remap = np.cumsum(nonzero) - 1
-        labels = remap[key]
-        ncells = int(nonzero.sum())
-        sizes = counts[nonzero]
+        yield mass, np.clip(ones / mass, 0.0, 1.0)
+        labels, sizes = _split(labels, col, ncells)
+        ncells = sizes.size
         if ncells and int(sizes.min()) == 1:
             keep = sizes[labels] > 1
             xs, wts, labels = xs[keep], wts[keep], labels[keep]
@@ -242,7 +255,31 @@ def _bound_terms(f: BooleanFunction, xs, wts: np.ndarray, perm, channel: Channel
                 ncells = int(alive.sum())
             else:
                 ncells = 0
-    return terms
+
+
+class _RefinementTrace:
+    """One run of ``_refine`` kept as flat arrays, to be priced under any channel.
+
+    Step i owns entries ``offsets[i]:offsets[i + 1]`` of ``mass`` and ``q``;
+    steps after the last stored one contribute zero.
+    """
+
+    def __init__(self, f: BooleanFunction, dist: InputDistribution, perm):
+        xs, wts = _support(f, dist)
+        # The first step always yields: y_size >= 1 and some input has weight.
+        masses, qs = zip(*_refine(f, xs, wts, perm))
+        self.steps = len(perm)
+        self.offsets = [0, *itertools.accumulate(m.size for m in masses)]
+        self.mass = np.concatenate(masses)
+        self.q = np.concatenate(qs)
+
+    def terms(self, channel: ChannelModel) -> list:
+        """The step terms under ``channel``: one phi call over every stored cell."""
+        phi = channel.phi(self.q)
+        terms = [
+            float(self.mass[a:b] @ phi[a:b]) for a, b in itertools.pairwise(self.offsets)
+        ]
+        return terms + [0.0] * (self.steps - len(terms))
 
 
 def compute_bound(
@@ -257,7 +294,8 @@ def compute_bound(
     """
     ordering = _as_ordering(ordering, f.y_size)
     xs, wts = _support(f, dist)
-    terms = _bound_terms(f, xs, wts, ordering.perm, channel)
+    terms = [float(mass @ channel.phi(q)) for mass, q in _refine(f, xs, wts, ordering.perm)]
+    terms += [0.0] * (len(ordering) - len(terms))
     return BoundReport(
         ordering=ordering.perm,
         ordering_strategy=ordering.strategy,
@@ -364,11 +402,8 @@ def _greedy_perm(f: BooleanFunction, dist: InputDistribution, channel: ChannelMo
                 best_y, best_term, best_col = y, term, col
         perm.append(best_y)
         unused.remove(best_y)
-        key = labels * 2 + best_col
-        counts = np.bincount(key, minlength=2 * ncells)
-        remap = np.cumsum(counts > 0) - 1
-        labels = remap[key]
-        ncells = int((counts > 0).sum())
+        labels, sizes = _split(labels, best_col, ncells)
+        ncells = sizes.size
     return tuple(perm)
 
 
@@ -391,7 +426,9 @@ def _exhaustive_perm(
     def best_of(perms):
         top_total, top_perm = -math.inf, None
         for perm in perms:
-            total = math.fsum(_bound_terms(f, xs, wts, perm, channel))
+            total = math.fsum(
+                float(mass @ channel.phi(q)) for mass, q in _refine(f, xs, wts, perm)
+            )
             if total > top_total:
                 top_total, top_perm = total, perm
         return top_total, top_perm

@@ -17,13 +17,14 @@ when an odd number of boxes err and the success probability
 
     Pr[g = f(x, y)] = (1 + prod_i e_i) / 2
 
-is independent of the inputs.  ``success_probability`` computes it by exact
-enumeration of the box error patterns rather than through that product.
+is independent of the inputs.  ``success_probability`` returns that product
+form, which is exact: no enumeration of the 2**boxes error patterns is needed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -33,10 +34,15 @@ from .errors import ArgumentError, UnsupportedSizeError
 from .icbound import (
     BoundReport,
     Symmetric,
+    _RefinementTrace,
     compute_bound,
     standard_ordering,
 )
 from .infocalc import TOLERANCE
+
+
+def _subset_order(subset: tuple) -> tuple:
+    return (len(subset), subset)
 
 
 @dataclass(frozen=True)
@@ -45,12 +51,25 @@ class VanDamDecomposition:
 
     ``coefficients`` maps each subset S (a sorted tuple of positions, MSB
     convention: position i is the i-th written bit of y) to the tuple of
-    coefficient bits over x.
+    coefficient bits over x.  The box and local-term lists are fixed at
+    construction: ``decompose`` passes them in from its coefficient array,
+    and they are derived from ``coefficients`` when left out.
     """
 
     x_size: int
     y_bits: int
     coefficients: dict
+    _boxes: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _local_terms: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._boxes is None or self._local_terms is None:
+            nonempty = [s for s in sorted(self.coefficients, key=_subset_order) if s]
+            values = {s: set(self.coefficients[s]) for s in nonempty}
+            boxes = tuple(s for s in nonempty if len(values[s]) > 1)
+            local_terms = tuple(s for s in nonempty if values[s] == {1})
+            object.__setattr__(self, "_boxes", boxes)
+            object.__setattr__(self, "_local_terms", local_terms)
 
     @property
     def message_term(self) -> tuple:
@@ -60,18 +79,12 @@ class VanDamDecomposition:
     @property
     def boxes(self) -> tuple:
         """Non-empty subsets with x-dependent coefficients; one PR box each."""
-        return tuple(
-            s for s in sorted(self.coefficients, key=lambda s: (len(s), s))
-            if s and len(set(self.coefficients[s])) > 1
-        )
+        return self._boxes
 
     @property
     def local_terms(self) -> tuple:
         """Non-empty subsets with constant-1 coefficients; Bob computes these."""
-        return tuple(
-            s for s in sorted(self.coefficients, key=lambda s: (len(s), s))
-            if s and set(self.coefficients[s]) == {1}
-        )
+        return self._local_terms
 
     @property
     def box_count(self) -> int:
@@ -104,11 +117,21 @@ def decompose(f: BooleanFunction) -> VanDamDecomposition:
         step = 1 << level
         for start in range(0, f.y_size, step << 1):
             anf[:, start + step:start + 2 * step] ^= anf[:, start:start + step]
-    coefficients = {}
-    for mask in range(f.y_size):
-        subset = tuple(i for i in range(n_bits) if (mask >> (n_bits - 1 - i)) & 1)
-        coefficients[subset] = tuple(int(v) for v in anf[:, mask])
-    return VanDamDecomposition(x_size=f.x_size, y_bits=n_bits, coefficients=coefficients)
+    rows = np.ascontiguousarray(anf.T)
+    subsets = [
+        tuple(i for i in range(n_bits) if (mask >> (n_bits - 1 - i)) & 1)
+        for mask in range(f.y_size)
+    ]
+    coefficients = {s: tuple(row.tolist()) for s, row in zip(subsets, rows)}
+    low, high = rows.min(axis=1), rows.max(axis=1)
+    ordered = sorted(range(1, f.y_size), key=lambda mask: _subset_order(subsets[mask]))
+    return VanDamDecomposition(
+        x_size=f.x_size,
+        y_bits=n_bits,
+        coefficients=coefficients,
+        _boxes=tuple(subsets[m] for m in ordered if low[m] != high[m]),
+        _local_terms=tuple(subsets[m] for m in ordered if low[m] == 1),
+    )
 
 
 def box_count(f: BooleanFunction) -> int:
@@ -131,22 +154,12 @@ def _validated_biases(decomposition: VanDamDecomposition, biases) -> list:
 def success_probability(decomposition: VanDamDecomposition, biases) -> float:
     """Exact Pr[g = f(x, y)] of the protocol under per-box biases.
 
-    Enumerates all 2**box_count error patterns; box i errs independently with
-    probability (1 - e_i)/2, and the guess is correct exactly when an even
-    number of boxes err.  The result is independent of (x, y) and equals
-    (1 + prod_i e_i)/2.
+    Box i errs independently with probability (1 - e_i)/2, and the guess is
+    correct exactly when an even number of boxes err.  Summed over the error
+    patterns that is (1 + prod_i e_i)/2, independent of (x, y), which is what
+    is returned: the cost is linear in the number of boxes.
     """
-    bs = _validated_biases(decomposition, biases)
-    err = [(1.0 - e) / 2.0 for e in bs]
-    total = 0.0
-    for pattern in range(1 << len(bs)):
-        if pattern.bit_count() % 2 != 0:
-            continue
-        p = 1.0
-        for i, pe in enumerate(err):
-            p *= pe if (pattern >> i) & 1 else 1.0 - pe
-        total += p
-    return total
+    return (1.0 + math.prod(_validated_biases(decomposition, biases))) / 2.0
 
 
 @dataclass(frozen=True)
@@ -206,25 +219,32 @@ def max_bias(family: FunctionFamily, message_bits: int, precision: float = 1e-9)
     ``e`` is the bias of a single effective box (equivalently the product of
     the per-box biases), so the guess error is (1 - e)/2.  The bound under
     the family's standard ordering is monotone non-decreasing in e; the
-    threshold is located by bisection to the given absolute precision.
-    Returns 1.0 when even perfect boxes stay within the bound.
+    threshold is located by bisection to the given absolute precision, or
+    until the two ends are adjacent floats.  Returns 1.0 when even perfect
+    boxes stay within the bound.
+
+    The table is refined once; each bisection probe then only evaluates the
+    channel's phi over the stored cells and sums the same terms
+    ``compute_bound`` would.
     """
     if message_bits < 1:
         raise ArgumentError(f"message_bits must be >= 1, got {message_bits}")
     f = build_family(family)
     dist = InputDistribution.uniform(f.x_size)
-    ordering = standard_ordering(family)
+    trace = _RefinementTrace(f, dist, standard_ordering(family).perm)
 
     def bound_at(e: float) -> float:
         if e <= 0.0:
             return 0.0
-        return compute_bound(f, dist, ordering, Symmetric((1.0 - e) / 2.0)).total
+        return math.fsum(trace.terms(Symmetric((1.0 - e) / 2.0)))
 
     if bound_at(1.0) <= message_bits:
         return 1.0
     lo, hi = 0.0, 1.0
     while hi - lo > precision:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if bound_at(mid) <= message_bits:
             lo = mid
         else:

@@ -166,6 +166,17 @@ def test_prbox_maxbias_index2(capsys):
     assert payload["max_bias"] == pytest.approx(0.779944, abs=1e-5)
 
 
+def test_prbox_bias_disj5_with_31_boxes(capsys):
+    code, out, _ = run_cli(
+        capsys, "prbox", "bias", "--family", "disj", "--n", "5", "--bias", "0.9",
+        "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["box_count"] == 31
+    assert payload["success_probability"] == pytest.approx((1.0 + 0.9**31) / 2.0, abs=1e-9)
+
+
 def test_prbox_kint_requires_k(capsys):
     code, _, err = run_cli(
         capsys, "prbox", "decompose", "--family", "kint", "--n", "4"

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icbounds import (
     ArgumentError,
@@ -13,13 +15,18 @@ from icbounds import (
     Equality,
     Index,
     InnerProduct,
+    InputDistribution,
     KIntersect,
+    Symmetric,
     UnsupportedSizeError,
+    VanDamDecomposition,
     binary_entropy,
     box_count,
     build_family,
+    compute_bound,
     decompose,
     max_bias,
+    standard_ordering,
     success_probability,
     violation_check,
 )
@@ -114,6 +121,22 @@ def test_reconstruction_for_random_functions():
                 assert d.value(x, y) == f.bit(x, y)
 
 
+def test_decompose_box_lists_match_a_direct_construction():
+    # decompose derives the box and local-term lists from its coefficient
+    # array; a decomposition built from the coefficients alone derives them
+    # from the tuples.
+    rng = np.random.default_rng(54)
+    for family in (Index(4), InnerProduct(3), Disjointness(3), KIntersect(4, 2)):
+        d = decompose(build_family(family))
+        direct = VanDamDecomposition(d.x_size, d.y_bits, d.coefficients)
+        assert (d.boxes, d.local_terms) == (direct.boxes, direct.local_terms)
+    for _ in range(100):
+        d = decompose(random_function(rng, int(rng.integers(1, 9)), int(2 ** rng.integers(0, 5))))
+        direct = VanDamDecomposition(d.x_size, d.y_bits, d.coefficients)
+        assert (d.boxes, d.local_terms) == (direct.boxes, direct.local_terms)
+        assert d == direct
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_disjointness_saturates_the_box_limit(n):
     # box count <= 2^n - 1 always, with equality for disjointness
@@ -167,6 +190,44 @@ def test_success_matches_product_formula_up_to_eight_boxes():
         biases = [float(b) for b in rng.uniform(-1.0, 1.0, n_boxes)]
         expected = (1.0 + math.prod(biases)) / 2.0
         assert success_probability(d, biases) == pytest.approx(expected, abs=1e-12)
+
+
+def enumerated_success(biases):
+    """Sum over all 2**n box error patterns with an even number of errors."""
+    err = [(1.0 - e) / 2.0 for e in biases]
+    total = 0.0
+    for pattern in range(1 << len(biases)):
+        if pattern.bit_count() % 2 != 0:
+            continue
+        p = 1.0
+        for i, pe in enumerate(err):
+            p *= pe if (pattern >> i) & 1 else 1.0 - pe
+        total += p
+    return total
+
+
+def decomposition_with_boxes(n_boxes):
+    """A decomposition of a 3 x 16 function with exactly ``n_boxes`` boxes."""
+    subsets = [s for r in (1, 2, 3, 4) for s in itertools.combinations(range(4), r)]
+    coefficients = {(): (0, 1, 1)}
+    for subset in subsets[:n_boxes]:
+        coefficients[subset] = (0, 1, 0)
+    d = decompose(assemble_from_coefficients(3, 4, coefficients))
+    assert d.box_count == n_boxes
+    return d
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), max_size=12))
+def test_success_matches_error_pattern_enumeration(biases):
+    d = decomposition_with_boxes(len(biases))
+    assert success_probability(d, biases) == pytest.approx(enumerated_success(biases), abs=1e-12)
+
+
+def test_success_for_dozens_of_boxes():
+    d = decompose(build_family(Disjointness(5)))
+    assert d.box_count == 31
+    assert success_probability(d, [0.9] * 31) == pytest.approx((1.0 + 0.9**31) / 2.0, abs=1e-15)
 
 
 def per_input_protocol_success(f, d, biases, x, y):
@@ -300,3 +361,53 @@ def test_max_bias_decreases_with_n():
     values = [max_bias(Index(n), 1) for n in (2, 3, 4, 6, 8, 10, 12)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert all(0.0 < v < 1.0 for v in values)
+
+
+def bisect_by_compute_bound(family, message_bits, precision=1e-9):
+    """The bias threshold with one full ``compute_bound`` per bisection probe."""
+    f = build_family(family)
+    dist = InputDistribution.uniform(f.x_size)
+    ordering = standard_ordering(family)
+
+    def bound_at(e):
+        if e <= 0.0:
+            return 0.0
+        return compute_bound(f, dist, ordering, Symmetric((1.0 - e) / 2.0)).total
+
+    if bound_at(1.0) <= message_bits:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > precision:
+        mid = 0.5 * (lo + hi)
+        if bound_at(mid) <= message_bits:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("message_bits", [1, 2])
+@pytest.mark.parametrize(
+    "family",
+    [Index(n) for n in range(2, 11)]
+    + [Equality(n) for n in range(1, 7)]
+    + [KIntersect(n, k) for n in (6, 7, 8) for k in (2, 3)]
+    + [InnerProduct(3), Disjointness(3)],
+    ids=repr,
+)
+def test_max_bias_equals_bisection_over_compute_bound(family, message_bits):
+    assert max_bias(family, message_bits) == bisect_by_compute_bound(family, message_bits)
+
+
+def test_max_bias_at_zero_precision_stops_at_adjacent_floats():
+    lo = max_bias(Index(2), 1, precision=0.0)
+    f = build_family(Index(2))
+    dist = InputDistribution.uniform(f.x_size)
+    ordering = standard_ordering(Index(2))
+
+    def bound_at(e):
+        return compute_bound(f, dist, ordering, Symmetric((1.0 - e) / 2.0)).total
+
+    assert isinstance(lo, float)
+    assert bound_at(lo) <= 1.0
+    assert bound_at(math.nextafter(lo, 2.0)) > 1.0
