@@ -42,6 +42,7 @@ from .errors import (
     FamilyParameterError,
     HierarchyViolationError,
     IcboundsError,
+    TableSizeRefusal,
     TruthTableFormatError,
     UnsupportedSizeError,
 )

@@ -29,10 +29,14 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .errors import ArgumentError, FamilyParameterError, TruthTableFormatError
+from .errors import ArgumentError, FamilyParameterError, TableSizeRefusal, TruthTableFormatError
 
 #: Documented bit convention: x0 is the most significant bit of the index.
 BIT_ORDER = "x0-msb"
+
+#: ``build_family`` refuses larger tables: 2**28 bits is |X| = |Y| = 2**14,
+#: 32 MiB packed.
+MAX_TABLE_BITS = 1 << 28
 
 
 def bits_to_index(bits) -> int:
@@ -295,9 +299,15 @@ def build_family(family: FunctionFamily) -> BooleanFunction:
     """Materialize the truth table of a built-in family.
 
     Large tables are built in row chunks and bit-packed, so families up to
-    |X| = |Y| = 2**14 are cheap to hold.
+    |X| = |Y| = 2**14 are cheap to hold.  A table of more than
+    ``MAX_TABLE_BITS`` bits is refused before anything is allocated.
     """
     x_size, y_size = family.x_size, family.y_size
+    if x_size * y_size > MAX_TABLE_BITS:
+        raise TableSizeRefusal(
+            f"{family.name} table of {x_size} x {y_size} = {x_size * y_size} bits "
+            f"exceeds the limit of {MAX_TABLE_BITS} bits (2**28)"
+        )
     ys = np.arange(y_size, dtype=np.int64)
     # Chunk rows in multiples of 8 so every chunk packs on a byte boundary.
     rows = max(8, (1 << 23) // y_size)
@@ -319,7 +329,7 @@ def load_truth_table(text: str) -> BooleanFunction:
     """Parse the JSON truth-table format documented at module level."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise TruthTableFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise TruthTableFormatError("truth table must be a JSON object")
@@ -371,22 +381,30 @@ def apply_x_substitution(f: BooleanFunction, sigma) -> BooleanFunction:
 class InputDistribution:
     """Distribution of Alice's input x, normalized to total mass 1.
 
-    Weights must be non-negative with a positive total; the constructor
-    rescales them, tolerating float noise in user files.
+    Weights must be finite and non-negative with a positive, finite total;
+    the constructor rescales them, tolerating float noise in user files.
     """
 
     weights: np.ndarray
     label: str = "custom"
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float).ravel()
+        try:
+            w = np.array(self.weights, dtype=float).ravel()
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ArgumentError(f"weights must be finite numbers: {exc}") from exc
         if w.size == 0:
             raise ArgumentError("distribution must have at least one weight")
+        if not np.all(np.isfinite(w)):
+            raise ArgumentError("weights must be finite numbers (no NaN or infinity)")
         if np.any(w < 0.0):
             raise ArgumentError("weights must be non-negative")
-        total = float(w.sum())
+        with np.errstate(over="ignore"):
+            total = float(w.sum())
         if total <= 0.0:
             raise ArgumentError("total weight must be positive")
+        if not np.isfinite(total):
+            raise ArgumentError("total weight overflows a float; rescale the weights")
         w /= total
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -401,11 +419,11 @@ class InputDistribution:
     def from_json(cls, text: str, label: str = "file") -> "InputDistribution":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise TruthTableFormatError(f"not valid JSON: {exc}") from exc
         if not isinstance(data, list) or not all(isinstance(v, (int, float)) for v in data):
             raise TruthTableFormatError("distribution file must be a JSON array of numbers")
-        return cls(np.asarray(data, dtype=float), label=label)
+        return cls(data, label=label)
 
     @property
     def x_size(self) -> int:

@@ -2,10 +2,11 @@
 
 Subcommands: ``bound``, ``classify``, ``prbox decompose|bias|violation|maxbias``,
 ``families``, ``oracle-check``.  Exit codes: 0 success, 2 argument errors,
-3 computation refusals (exhaustive search too large, census mismatch),
-1 oracle-check deviation beyond tolerance.  All numeric output carries nine
-decimal places; configuration comes from flags only, so invocations are
-reproducible from regression logs.
+3 computation refusals (exhaustive search or family table too large, census
+mismatch), 1 oracle-check deviation beyond tolerance.  Text and CSV numbers
+carry nine decimal places and JSON numbers are ``round(x, 9)``;
+configuration comes from flags only, so invocations are reproducible from
+regression logs.  ``--threads`` is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .errors import (
     ExhaustiveSearchRefusal,
     HierarchyViolationError,
     IcboundsError,
+    TableSizeRefusal,
+    TruthTableFormatError,
 )
 from .icbound import (
     Asymmetric,
@@ -45,7 +48,7 @@ from .icbound import (
     oracle_check,
 )
 from .infocalc import TOLERANCE
-from .prbox import decompose, max_bias, success_probability, violation_check
+from .prbox import _violation_report, decompose, max_bias, success_probability
 
 _FAMILIES = {
     "index": Index,
@@ -102,11 +105,17 @@ def _family_from_args(args):
     return cls(args.n)
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TruthTableFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _resolve_function(args):
     """Returns (function, name, parameters) from --family/--table flags."""
     if getattr(args, "table", None):
-        text = Path(args.table).read_text(encoding="utf-8")
-        f = load_truth_table(text)
+        f = load_truth_table(_read_text(args.table))
         return f, f"table:{args.table}", {"x_size": f.x_size, "y_size": f.y_size}
     family = _family_from_args(args)
     params = family.describe()
@@ -132,9 +141,7 @@ def _resolve_distribution(args, x_size: int) -> InputDistribution:
         return InputDistribution.uniform(x_size)
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        return InputDistribution.from_json(
-            Path(path).read_text(encoding="utf-8"), label=f"file:{path}"
-        )
+        return InputDistribution.from_json(_read_text(path), label=f"file:{path}")
     raise ArgumentError(f"--dist must be 'uniform' or 'file:PATH', got {spec!r}")
 
 
@@ -142,10 +149,15 @@ def _resolve_ordering(args, f, dist, channel):
     spec = args.ordering
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(data, list):
-            raise ArgumentError("ordering file must be a JSON array of y indices")
-        return Ordering(tuple(int(v) for v in data), strategy=f"file:{path}")
+        try:
+            data = json.loads(_read_text(path))
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise TruthTableFormatError(f"ordering file is not valid JSON: {exc}") from exc
+        # type() rather than isinstance(): bools are ints, and floats such
+        # as 1.9 must not be truncated into an index.
+        if not isinstance(data, list) or any(type(v) is not int for v in data):
+            raise TruthTableFormatError("ordering file must be a JSON array of integer y indices")
+        return Ordering(tuple(data), strategy=f"file:{path}")
     return make_ordering(
         spec,
         f,
@@ -309,9 +321,10 @@ def _handle_prbox_bias(args) -> int:
 
 def _handle_prbox_violation(args) -> int:
     family = _family_from_args(args)
-    probe = decompose(build_family(family))
-    biases = _expand_biases(_parse_biases(args.bias), probe.box_count)
-    report = violation_check(family, biases, args.m)
+    f = build_family(family)
+    decomposition = decompose(f)
+    biases = _expand_biases(_parse_biases(args.bias), decomposition.box_count)
+    report = _violation_report(family, f, decomposition, biases, args.m)
     payload = {
         "function": family.name,
         "parameters": {k: v for k, v in family.describe().items() if k != "family"},
@@ -521,7 +534,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ExhaustiveSearchRefusal as exc:
+    except (ExhaustiveSearchRefusal, TableSizeRefusal) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
     except (CensusMismatchError, HierarchyViolationError) as exc:

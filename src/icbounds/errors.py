@@ -22,7 +22,11 @@ class UnsupportedSizeError(IcboundsError, ValueError):
 
 
 class ExhaustiveSearchRefusal(IcboundsError, RuntimeError):
-    """Exhaustive ordering search was refused because of its factorial cost."""
+    """Exhaustive ordering search was refused because of its cost."""
+
+
+class TableSizeRefusal(IcboundsError, RuntimeError):
+    """A built-in family's truth table was refused because of its size."""
 
 
 class CensusMismatchError(IcboundsError, RuntimeError):

@@ -28,8 +28,10 @@ which yields each step's cell masses and q.  ``compute_bound`` prices each
 step as it is yielded and stores nothing.  ``_RefinementTrace`` keeps one run
 as flat arrays, so that pricing one table under many channels -- the
 bisection over the error rate in ``prbox.max_bias`` -- refines once and then
-only evaluates phi again.  Greedy ordering search shares the cell-splitting
-step.
+only evaluates phi again.  The ordering searches share the cell-splitting
+step ``_split`` and price every candidate column of a partition at once
+(``_price``); exhaustive search is a dynamic program over the subsets of Y,
+since the partition after a prefix depends only on the set of columns used.
 
 Channel semantics: the success constraint is taken at equality -- the guess
 is correct with probability exactly one minus the stated error rate,
@@ -45,7 +47,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -78,6 +79,10 @@ CHANNEL_SEMANTICS = (
 
 #: Exhaustive ordering search refuses beyond this |Y| unless overridden.
 EXHAUSTIVE_LIMIT = 8
+
+#: Exhaustive ordering search refuses beyond this |Y| even when overridden:
+#: it keeps one float per subset of Y (128 MiB at |Y| = 24).
+EXHAUSTIVE_HARD_LIMIT = 24
 
 
 # ---------------------------------------------------------------------------
@@ -381,28 +386,46 @@ def _kint_proof_perm(y_size: int, k: int) -> tuple:
     return tuple(weight_k + rest)
 
 
+def _columns(f: BooleanFunction, xs) -> np.ndarray:
+    """The table restricted to the active inputs, one column per Bob input."""
+    if xs is None:
+        xs = np.arange(f.x_size, dtype=np.int64)
+    return np.stack([f.bits_at(xs, y) for y in range(f.y_size)], axis=1)
+
+
+def _price(
+    labels: np.ndarray, ncells: int, wts: np.ndarray, cols: np.ndarray, channel: ChannelModel
+) -> np.ndarray:
+    """The next step's term for every candidate column of ``cols`` at once.
+
+    One bincount over (cell, candidate) pairs gives every cell's ones mass for
+    every candidate, and one phi call prices them all.  Each term is the dot
+    product of the cell masses with a contiguous row of the transposed phi
+    matrix, so it equals, bit for bit, pricing that column on its own (a
+    strided column would be summed in another order).
+    """
+    m = cols.shape[1]
+    mass = np.bincount(labels, weights=wts, minlength=ncells)
+    key = (labels[:, None] * m + np.arange(m)).ravel()
+    ones = np.bincount(key, weights=(wts[:, None] * cols).ravel(), minlength=ncells * m)
+    q = np.clip(ones.reshape(ncells, m) / mass[:, None], 0.0, 1.0)
+    phi = np.ascontiguousarray(channel.phi(q).T)
+    return np.array([mass @ row for row in phi])
+
+
 def _greedy_perm(f: BooleanFunction, dist: InputDistribution, channel: ChannelModel) -> tuple:
     xs, wts = _support(f, dist)
+    cols = _columns(f, xs)
     labels = np.zeros(wts.size, dtype=np.int64)
     ncells = 1
     unused = list(range(f.y_size))
     perm = []
     while unused:
-        mass = np.bincount(labels, weights=wts, minlength=ncells)
-        best_y, best_term, best_col = -1, -math.inf, None
-        for y in unused:
-            col = f.column(y)
-            if xs is not None:
-                col = col[xs]
-            col = col.astype(np.int64)
-            ones = np.bincount(labels, weights=wts * col, minlength=ncells)
-            q = np.clip(ones / mass, 0.0, 1.0)
-            term = float(mass @ channel.phi(q))
-            if term > best_term:
-                best_y, best_term, best_col = y, term, col
-        perm.append(best_y)
-        unused.remove(best_y)
-        labels, sizes = _split(labels, best_col, ncells)
+        # argmax keeps the first of equal terms: ties go to the smallest index.
+        best = unused[int(np.argmax(_price(labels, ncells, wts, cols[:, unused], channel)))]
+        perm.append(best)
+        unused.remove(best)
+        labels, sizes = _split(labels, cols[:, best], ncells)
         ncells = sizes.size
     return tuple(perm)
 
@@ -411,9 +434,22 @@ def _exhaustive_perm(
     f: BooleanFunction,
     dist: InputDistribution,
     channel: ChannelModel,
-    threads: int,
     allow_big: bool,
 ) -> tuple:
+    """The lexicographically smallest permutation of Y whose total is maximal.
+
+    The partition after a prefix depends only on the set S of columns used,
+    so total(perm) = sum_i T(S_i, y_i) with T(S, y) the term of column y on
+    the partition of S, and the best suffix value V[S] = max over y not in S
+    of T(S, y) + V[S + {y}] is a longest path over the subsets of Y (the
+    Held-Karp recursion).  Subsets are visited depth first, each refined from
+    itself minus its lowest column, children before parents; that order is
+    decreasing as bitmasks, so every superset's V is known when a subset
+    needs it, and only one chain of partitions is alive.  Each subset costs
+    one ``_price`` pass over its unused columns: 2**|Y| passes in all.  The
+    permutation is then rebuilt forward, taking at each step the smallest y
+    whose T + V comes within 1e-12 * max(1, |V[S]|) of V[S].
+    """
     y_size = f.y_size
     if y_size > EXHAUSTIVE_LIMIT and not allow_big:
         raise ExhaustiveSearchRefusal(
@@ -421,33 +457,42 @@ def _exhaustive_perm(
             f"{y_size}! = {math.factorial(y_size)} permutations; "
             "pass allow_big_exhaustive to override"
         )
+    if y_size > EXHAUSTIVE_HARD_LIMIT:
+        raise ExhaustiveSearchRefusal(
+            f"exhaustive ordering over |Y| = {y_size} needs a value for each of "
+            f"2**{y_size} subsets of Y; at most |Y| = {EXHAUSTIVE_HARD_LIMIT} is supported"
+        )
     xs, wts = _support(f, dist)
+    cols = _columns(f, xs)
+    full = (1 << y_size) - 1
+    value = np.zeros(full + 1)
 
-    def best_of(perms):
-        top_total, top_perm = -math.inf, None
-        for perm in perms:
-            total = math.fsum(
-                float(mass @ channel.phi(q)) for mass, q in _refine(f, xs, wts, perm)
-            )
-            if total > top_total:
-                top_total, top_perm = total, perm
-        return top_total, top_perm
+    def continuations(s: int, labels: np.ndarray, ncells: int):
+        """The columns not in S, and T(S, y) + V[S + {y}] for each of them."""
+        ys = [y for y in range(y_size) if not s >> y & 1]
+        terms = _price(labels, ncells, wts, cols[:, ys], channel)
+        return ys, terms + value[[s | 1 << y for y in ys]]
 
-    perms = list(itertools.permutations(range(y_size)))
-    if threads <= 1 or len(perms) < 64:
-        return best_of(perms)[1]
-    # Chunked max-reduction merged in chunk order: the winner is independent
-    # of thread scheduling, and exact ties keep the lexicographically
-    # smallest permutation because chunks preserve enumeration order.
-    bounds = np.linspace(0, len(perms), threads * 4 + 1).astype(int)
-    chunks = [perms[bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(best_of, chunks))
-    top_total, top_perm = -math.inf, None
-    for total, perm in results:
-        if perm is not None and total > top_total:
-            top_total, top_perm = total, perm
-    return top_perm
+    def visit(s: int, labels: np.ndarray, ncells: int) -> None:
+        for y in reversed(range((s & -s).bit_length() - 1 if s else y_size)):
+            child, sizes = _split(labels, cols[:, y], ncells)
+            visit(s | 1 << y, child, sizes.size)
+        if s != full:
+            value[s] = continuations(s, labels, ncells)[1].max()
+
+    visit(0, np.zeros(wts.size, dtype=np.int64), 1)
+
+    s, labels, ncells = 0, np.zeros(wts.size, dtype=np.int64), 1
+    perm = []
+    while s != full:
+        ys, totals = continuations(s, labels, ncells)
+        tie = 1e-12 * max(1.0, abs(value[s]))
+        best = ys[int(np.flatnonzero(totals >= value[s] - tie)[0])]
+        perm.append(best)
+        labels, sizes = _split(labels, cols[:, best], ncells)
+        ncells = sizes.size
+        s |= 1 << best
+    return tuple(perm)
 
 
 _STRATEGIES = ("natural", "unit-first", "kint-proof", "greedy", "exhaustive")
@@ -471,10 +516,16 @@ def make_ordering(
     kint-proof   all Hamming-weight-k strings in decreasing order (x0-MSB
                  convention), then the rest in decreasing order; needs ``k``
     greedy       repeatedly append the unused y maximizing the next step term
-                 (ties to the smallest index); needs the distribution/channel
-    exhaustive   the permutation maximizing the total (ties to the
-                 lexicographically smallest); refuses |Y| > 8 unless
-                 ``allow_big_exhaustive`` is set
+                 (ties to the smallest index); needs the distribution/channel.
+                 Each step prices all unused columns in one pass.
+    exhaustive   the permutation maximizing the total, found by dynamic
+                 programming over the subsets of Y (2**|Y| pricing passes);
+                 among permutations whose totals agree with the maximum to
+                 within 1e-12 * max(1, |total|) per step, the lexicographically
+                 smallest.  Refuses |Y| > 8 unless ``allow_big_exhaustive`` is
+                 set, and |Y| > 24 in any case.
+
+    ``threads`` is accepted for compatibility and has no effect.
     """
     name = strategy.replace("_", "-").lower()
     if name == "unit-vectors-first":
@@ -493,9 +544,7 @@ def make_ordering(
     channel = channel if channel is not None else Deterministic()
     if name == "greedy":
         return Ordering(_greedy_perm(f, dist, channel), "greedy")
-    return Ordering(
-        _exhaustive_perm(f, dist, channel, threads, allow_big_exhaustive), "exhaustive"
-    )
+    return Ordering(_exhaustive_perm(f, dist, channel, allow_big_exhaustive), "exhaustive")
 
 
 def standard_ordering(family: FunctionFamily) -> Ordering:
@@ -608,6 +657,8 @@ def oracle_check(cases: int = 100, seed: int = 1783, max_size: int = 16) -> Orac
     """
     if cases < 1:
         raise ArgumentError(f"cases must be >= 1, got {cases}")
+    if max_size < 1:
+        raise ArgumentError(f"max_size must be >= 1, got {max_size}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for case in range(cases):

@@ -183,10 +183,20 @@ def violation_check(family: FunctionFamily, biases, message_bits: int) -> Violat
     probability at or below 1/2 carries no signal and is reported as such
     (bound 0, not violated) rather than treated as an error.
     """
+    f = build_family(family)
+    return _violation_report(family, f, decompose(f), biases, message_bits)
+
+
+def _violation_report(
+    family: FunctionFamily,
+    f: BooleanFunction,
+    decomposition: VanDamDecomposition,
+    biases,
+    message_bits: int,
+) -> ViolationReport:
+    """``violation_check`` for a family whose table and decomposition are built."""
     if message_bits < 1:
         raise ArgumentError(f"message_bits must be >= 1, got {message_bits}")
-    f = build_family(family)
-    decomposition = decompose(f)
     p = success_probability(decomposition, biases)
     eps = 1.0 - p
     if eps >= 0.5:

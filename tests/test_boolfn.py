@@ -16,6 +16,7 @@ from icbounds import (
     InnerProduct,
     InputDistribution,
     KIntersect,
+    TableSizeRefusal,
     TruthTableFormatError,
     apply_x_substitution,
     bits_to_index,
@@ -24,6 +25,7 @@ from icbounds import (
     load_truth_table,
     save_truth_table,
 )
+from icbounds.boolfn import MAX_TABLE_BITS
 
 # --- independent per-bit evaluation of the defining formulas ----------------
 
@@ -239,6 +241,28 @@ def test_distribution_errors():
         InputDistribution([0.0, 0.0])
     with pytest.raises(ArgumentError):
         InputDistribution([])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 10**400])
+def test_distribution_rejects_non_finite_weights(bad):
+    with pytest.raises(ArgumentError):
+        InputDistribution([1.0, bad, 1.0])
+
+
+def test_distribution_rejects_an_overflowing_total():
+    with pytest.raises(ArgumentError, match="overflow"):
+        InputDistribution([1e308, 1e308])
+
+
+def test_build_family_refuses_oversized_tables_before_allocating():
+    # Equality(40) would need 2**80 bits; the refusal comes before any array.
+    with pytest.raises(TableSizeRefusal, match="1208925819614629174706176 bits"):
+        build_family(Equality(40))
+    with pytest.raises(TableSizeRefusal):
+        build_family(KIntersect(15, 1))
+    # The largest tables the package documents stay within the limit.
+    for family in (KIntersect(14, 7), Index(20), Equality(12)):
+        assert family.x_size * family.y_size <= MAX_TABLE_BITS
 
 
 def test_distribution_from_json():

@@ -1,5 +1,7 @@
 """Signature, census, and hierarchy checks for two-bit input functions."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from icbounds import (
     per_ordering_signature,
     signature,
 )
+from icbounds.classify import _steps_signature
 
 # Frozen regression snapshot of the census (verified against the first full
 # enumeration; the labels sum to 2**16).
@@ -139,6 +142,16 @@ def test_census_reproduces_the_eight_classes():
     by_label = {entry.label: entry.count for entry in result.values()}
     assert by_label == EXPECTED_COUNTS
     assert sum(by_label.values()) == 65536
+
+
+def test_census_state_counts_equal_per_function_signatures():
+    # The census counts (partition, steps) states; the reference refines each
+    # of the 2**16 functions on its own with the signature's step function.
+    expected = Counter()
+    for fid in range(1 << 16):
+        cols = [sum(((fid >> (x * 4 + y)) & 1) << x for x in range(4)) for y in range(4)]
+        expected[_steps_signature(cols)] += 1
+    assert {sig.steps: entry.count for sig, entry in census().items()} == expected
 
 
 def test_census_table_sorted_and_threaded_runs_agree():

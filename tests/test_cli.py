@@ -1,10 +1,17 @@
 """Command-line interface: flag grammar, report schemas, exit codes."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from icbounds import build_family, Disjointness, save_truth_table
+from icbounds import Index, build_family, Disjointness, save_truth_table, violation_check
+from icbounds import cli, prbox
 from icbounds.cli import main
 
 
@@ -214,3 +221,101 @@ def test_nine_decimal_text_output(capsys):
     )
     assert code == 0
     assert "0.905000000" in out
+
+
+# --- malformed input files and oversized tables ---------------------------------
+
+
+def write_disj2_table(folder) -> str:
+    table = Path(folder) / "f.json"
+    table.write_text(save_truth_table(build_family(Disjointness(2))), encoding="utf-8")
+    return str(table)
+
+
+@pytest.mark.parametrize("content", ["[2, 1, 0", '[2, 1, 0, "a"]', "[2, 1.9, 0, 3]", "[2, true, 0, 3]"])
+def test_malformed_ordering_files_are_refused(capsys, tmp_path, content):
+    ordering = tmp_path / "o.json"
+    ordering.write_text(content, encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "bound", "--table", write_disj2_table(tmp_path), "--ordering", f"file:{ordering}"
+    )
+    assert code == 2
+    assert out == ""
+    assert "ordering file" in err
+
+
+@pytest.mark.parametrize("content", ["[1, NaN, 1, 1]", "[1, Infinity, 1, 1]", "[-Infinity, 1, 1, 1]"])
+def test_non_finite_weight_files_are_refused(capsys, tmp_path, content):
+    dist = tmp_path / "d.json"
+    dist.write_text(content, encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "bound", "--table", write_disj2_table(tmp_path), "--dist", f"file:{dist}"
+    )
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_oracle_check_refuses_max_size_zero(capsys):
+    code, _, err = run_cli(capsys, "oracle-check", "--cases", "5", "--max-size", "0")
+    assert code == 2
+    assert "max_size" in err
+
+
+def test_oversized_family_is_refused_with_exit_3(capsys):
+    code, out, err = run_cli(capsys, "bound", "--family", "eq", "--n", "40")
+    assert code == 3
+    assert out == ""
+    assert "refused" in err and "bits" in err
+
+
+def test_prbox_violation_decomposes_once(capsys, monkeypatch):
+    real, calls = prbox.decompose, []
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(cli, "decompose", counting)
+    monkeypatch.setattr(prbox, "decompose", counting)
+    code, out, _ = run_cli(
+        capsys, "prbox", "violation", "--family", "index", "--n", "4", "--bias", "0.95",
+        "--m", "1", "--format", "json",
+    )
+    assert code == 0
+    assert len(calls) == 1
+    report = violation_check(Index(4), [0.95] * 3, 1)
+    assert json.loads(out)["bound_total"] == round(report.bound_total, 9)
+
+
+JSON_SCALARS = st.one_of(
+    st.integers(-2, 6),
+    st.integers(),
+    st.just(10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+)
+FILE_CONTENTS = st.one_of(
+    st.permutations(range(4)).map(json.dumps),
+    st.lists(st.floats(0.0, 10.0), min_size=4, max_size=4).map(json.dumps),
+    st.lists(JSON_SCALARS, max_size=6).map(json.dumps),
+    st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3), max_leaves=6).map(json.dumps),
+    st.text(max_size=12),
+).map(str.encode) | st.binary(max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordering=FILE_CONTENTS, dist=FILE_CONTENTS, channel=st.sampled_from(["det", "sym"]))
+def test_fuzzed_ordering_and_distribution_files_exit_cleanly(ordering, dist, channel):
+    # An exception escaping main() is a traceback for the user; every input
+    # must end in an answer (0), an argument error (2) or a refusal (3).
+    with tempfile.TemporaryDirectory() as folder:
+        (Path(folder) / "o.json").write_bytes(ordering)
+        (Path(folder) / "d.json").write_bytes(dist)
+        argv = ["bound", "--table", write_disj2_table(folder), "--channel", channel,
+                "--eps", "0.1", "--ordering", f"file:{folder}/o.json", "--dist", f"file:{folder}/d.json"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 2, 3)

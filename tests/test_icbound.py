@@ -243,12 +243,23 @@ def test_exhaustive_refusal_names_cost():
         make_ordering("exhaustive", f)
 
 
+def test_exhaustive_refuses_more_subsets_than_it_can_hold_even_when_allowed():
+    f = BooleanFunction(2, 40, [0, 1] * 40)
+    with pytest.raises(ExhaustiveSearchRefusal, match=r"2\*\*40 subsets"):
+        make_ordering("exhaustive", f, allow_big_exhaustive=True)
+
+
 def test_exhaustive_threads_agree():
     rng = np.random.default_rng(42)
     f = random_function(rng, 8, 5)
     seq = make_ordering("exhaustive", f).perm
     par = make_ordering("exhaustive", f, threads=4).perm
     assert seq == par
+
+
+def test_oracle_check_rejects_empty_sizes():
+    with pytest.raises(ArgumentError, match="max_size"):
+        oracle_check(cases=5, max_size=0)
 
 
 def test_unknown_strategy():

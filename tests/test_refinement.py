@@ -1,5 +1,6 @@
-"""The shared refinement kernel: the channel-independent trace and greedy search."""
+"""The shared refinement kernel: the channel-independent trace and the ordering searches."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from icbounds import (
     compute_bound,
     make_ordering,
 )
-from icbounds.icbound import _RefinementTrace, _support
+from icbounds.icbound import _RefinementTrace, _refine, _support
 
 EPS = st.floats(min_value=0.0, max_value=0.499, allow_nan=False)
 CHANNELS = st.one_of(
@@ -116,3 +117,63 @@ def test_greedy_unchanged_on_random_weighted_tables(seed):
     dist = InputDistribution(weights)
     channel = (Deterministic(), Symmetric(0.1), Asymmetric(0.05, 0.2))[seed % 3]
     assert make_ordering("greedy", f, dist, channel).perm == reference_greedy(f, dist, channel)
+
+
+# --- exhaustive ordering ---------------------------------------------------------
+
+
+def reference_exhaustive(f, dist, channel):
+    """The exhaustive search as first written: every permutation in
+    lexicographic order, each refined anew; the first strict maximum wins."""
+    xs, wts = _support(f, dist)
+    top_total, top_perm = -math.inf, None
+    for perm in itertools.permutations(range(f.y_size)):
+        total = math.fsum(float(mass @ channel.phi(q)) for mass, q in _refine(f, xs, wts, perm))
+        if total > top_total:
+            top_total, top_perm = total, perm
+    return top_perm
+
+
+def test_exhaustive_matches_brute_force_up_to_float_noise_ties():
+    # Brute force keeps whichever of several float-noise ties it met first
+    # with the largest rounding, so the search may return another maximizer
+    # -- but only one within the tie tolerance and lexicographically smaller.
+    rng = np.random.default_rng(4)
+    for case in range(200):
+        # Brute force costs |Y|! refinements: three cases of |Y| = 7, twenty
+        # of |Y| = 6, the rest smaller.
+        y_size = 7 if case % 70 == 0 else 6 if case % 10 == 5 else int(rng.integers(1, 6))
+        x_size = int(rng.integers(1, 24))
+        f = BooleanFunction(x_size, y_size, rng.integers(0, 2, x_size * y_size))
+        if case % 2:
+            weights = rng.random(x_size)
+            weights[rng.random(x_size) < 0.3] = 0.0
+            weights[0] += 0.05
+            dist = InputDistribution(weights)
+        else:
+            dist = InputDistribution.uniform(x_size)
+        channel = (
+            Deterministic(),
+            Symmetric(float(rng.uniform(0.0, 0.5))),
+            Asymmetric(float(rng.uniform(0.0, 0.5)), float(rng.uniform(0.0, 0.5))),
+        )[case % 3]
+        perm = make_ordering("exhaustive", f, dist, channel).perm
+        brute = reference_exhaustive(f, dist, channel)
+        if perm != brute:
+            total = compute_bound(f, dist, perm, channel).total
+            best = compute_bound(f, dist, brute, channel).total
+            assert perm < brute
+            assert abs(total - best) <= y_size * 1e-12 * max(1.0, best)
+
+
+def test_exhaustive_breaks_a_float_noise_tie_to_the_smaller_permutation():
+    # Brute force returns (0, 1, 2, 4, 3, 5, 6, 7) here: its total exceeds the
+    # identity's by rounding alone, and no permutation does better.
+    f = build_family(KIntersect(3, 1))
+    dist = InputDistribution.uniform(f.x_size)
+    channel = Symmetric(0.1)
+    swapped = (0, 1, 2, 4, 3, 5, 6, 7)
+    identity = tuple(range(8))
+    gap = compute_bound(f, dist, swapped, channel).total - compute_bound(f, dist, identity, channel).total
+    assert 0.0 < gap < 1e-15
+    assert make_ordering("exhaustive", f, dist, channel).perm == identity
