@@ -38,6 +38,10 @@ BIT_ORDER = "x0-msb"
 #: 32 MiB packed.
 MAX_TABLE_BITS = 1 << 28
 
+#: ``BooleanFunction.row_blocks`` unpacks about this many bits per block:
+#: small enough that reordering a block's columns stays in the CPU cache.
+_BLOCK_BITS = 1 << 16
+
 
 def bits_to_index(bits) -> int:
     """Index of a bit string under the x0-MSB convention ('10' -> 2)."""
@@ -118,6 +122,32 @@ class BooleanFunction:
         if not 0 <= y < self.y_size:
             raise ArgumentError(f"y = {y} outside range [0, {self.y_size})")
         return self._positions(xs.astype(np.int64) * self.y_size + y).astype(np.uint8)
+
+    def row_blocks(self, xs=None, cols=None):
+        """Yield the rows f(x, .) for x in ``xs``, about 2**16 bits at a time.
+
+        ``xs`` is an increasing array of x indices (all of X when None) and
+        ``cols`` a sequence of y indices giving the columns and their order
+        (all of Y when None).  Each block is a C-contiguous uint8 array of
+        shape (rows, len(cols)); the blocks together hold the rows in the
+        order of ``xs``.  Every block unpacks one contiguous byte range of
+        the row-major table, so no bit is gathered on its own.
+        """
+        step = max(8, _BLOCK_BITS // self.y_size)
+        for start in range(0, self.x_size, step):
+            stop = min(start + step, self.x_size)
+            pick = None
+            if xs is not None:
+                lo, hi = np.searchsorted(xs, (start, stop))
+                if lo == hi:
+                    continue
+                pick = xs[lo:hi] - start
+            first, last = start * self.y_size, stop * self.y_size
+            bits = np.unpackbits(self._packed[first >> 3 : (last + 7) >> 3])
+            block = bits[first & 7 : (first & 7) + last - first].reshape(stop - start, self.y_size)
+            if pick is not None:
+                block = block[pick]
+            yield block if cols is None else np.take(block, cols, axis=1)
 
     def row(self, x: int) -> np.ndarray:
         """The vector f(x, .) over all of Y (dtype uint8)."""
@@ -337,7 +367,8 @@ def load_truth_table(text: str) -> BooleanFunction:
         if key not in data:
             raise TruthTableFormatError(f"missing key {key!r}")
     x_size, y_size, bits = data["x_size"], data["y_size"], data["bits"]
-    if not isinstance(x_size, int) or not isinstance(y_size, int):
+    # JSON true and false load as bool, a subclass of int.
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in (x_size, y_size)):
         raise TruthTableFormatError("x_size and y_size must be integers")
     if x_size < 1 or y_size < 1:
         raise TruthTableFormatError(f"sizes must be >= 1, got {x_size} x {y_size}")
@@ -346,10 +377,13 @@ def load_truth_table(text: str) -> BooleanFunction:
     expected = x_size * y_size
     if len(bits) != expected:
         raise TruthTableFormatError(f"bits length {len(bits)} != x_size*y_size = {expected}")
-    for offset, ch in enumerate(bits):
-        if ch not in "01":
-            raise TruthTableFormatError(f"bits[{offset}] = {ch!r} is not '0' or '1'")
-    return BooleanFunction(x_size, y_size, bits)
+    # One code per character: anything outside ASCII encodes as '?'.
+    codes = np.frombuffer(bits.encode("ascii", errors="replace"), dtype=np.uint8)
+    bad = (codes | 1) != ord("1")
+    if bad.any():
+        offset = int(bad.argmax())
+        raise TruthTableFormatError(f"bits[{offset}] = {bits[offset]!r} is not '0' or '1'")
+    return BooleanFunction(x_size, y_size, codes - np.uint8(ord("0")))
 
 
 def save_truth_table(f: BooleanFunction) -> str:
@@ -421,7 +455,9 @@ class InputDistribution:
             data = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise TruthTableFormatError(f"not valid JSON: {exc}") from exc
-        if not isinstance(data, list) or not all(isinstance(v, (int, float)) for v in data):
+        if not isinstance(data, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in data
+        ):
             raise TruthTableFormatError("distribution file must be a JSON array of numbers")
         return cls(data, label=label)
 

@@ -10,25 +10,28 @@ on every input must send at least this many bits, so a larger total is a
 stronger lower bound.
 
 The history {f(x, y^j)}_{j<i} partitions X into cells of inputs that share
-the same value vector.  Each step therefore costs one pass over X: for every
-cell with probability mass w and conditional probability q of f(x, y^i) = 1,
-the step contributes w * phi(q), where phi depends on the channel:
+the same value vector.  For every cell with probability mass w and
+conditional probability q of f(x, y^i) = 1, step i contributes w * phi(q),
+where phi depends on the channel:
 
     errorless:            phi(q) = h(q)
     symmetric eps:        phi(q) = h(eps + q(1-2eps)) - h(eps)
     type-I/II (eI, eII):  phi(q) = h(q(1-eII) + (1-q) eI) - q h(eII) - (1-q) h(eI)
 
-after which every cell splits by the value of f(., y^i) and empty parts are
-dropped.  Cells where q is 0 or 1 contribute nothing and never split further
-in effect, which is what makes deterministic histories prune.
+after which every cell splits by the value of f(., y^i).  Cells where q is 0
+or 1 contribute nothing and do not split, which is what makes deterministic
+histories prune.
 
-The refinement, and with it every cell's (w, q), does not depend on the
-channel; only phi does.  It is written once, as the generator ``_refine``,
-which yields each step's cell masses and q.  ``compute_bound`` prices each
-step as it is yielded and stores nothing.  ``_RefinementTrace`` keeps one run
-as flat arrays, so that pricing one table under many channels -- the
-bisection over the error rate in ``prbox.max_bias`` -- refines once and then
-only evaluates phi again.  The ordering searches share the cell-splitting
+The cells after step i are the nodes at depth i of the binary trie of the
+rows f(x, .) read in the ordering, and only the branching nodes (0 < q < 1)
+contribute.  ``_RefinementTrace`` finds all of them from one sort of the
+rows: each adjacent pair of sorted rows that differ is one branching node,
+at the depth of their longest common prefix, and its cell reaches to the
+nearest pairs on either side with a shorter common prefix.  The trace does
+not depend on the channel; only phi does.  ``compute_bound`` prices one
+trace, and pricing one table under many channels -- the bisection over the
+error rate in ``prbox.max_bias`` -- evaluates phi again over the same trace.
+The ordering searches refine one column at a time with the cell-splitting
 step ``_split`` and price every candidate column of a partition at once
 (``_price``); exhaustive search is a dynamic program over the subsets of Y,
 since the partition after a prefix depends only on the set of columns used.
@@ -226,65 +229,143 @@ def _split(labels: np.ndarray, col: np.ndarray, ncells: int):
     return (np.cumsum(nonzero) - 1)[key], counts[nonzero]
 
 
-def _refine(f: BooleanFunction, xs, wts: np.ndarray, perm):
-    """Refine the partition of X one Bob input at a time, in the order ``perm``.
+def _row_words(f: BooleanFunction, xs, perm: np.ndarray) -> np.ndarray:
+    """The active rows with their columns in ``perm`` order, packed MSB-first
+    into uint64 words (zero padding after the last column): comparing two
+    rows as word tuples compares them lexicographically."""
+    nbytes = -(-perm.size // 8)
+    buf = np.zeros((f.x_size if xs is None else xs.size, -(-nbytes // 8) * 8), dtype=np.uint8)
+    start = 0
+    cols = None if np.array_equal(perm, np.arange(perm.size)) else perm
+    for block in f.row_blocks(xs, cols):
+        buf[start : start + block.shape[0], :nbytes] = np.packbits(block, axis=1)
+        start += block.shape[0]
+    words = buf.view(">u8")
+    if not words.dtype.isnative:
+        words = words.byteswap(inplace=True).view(np.uint64)
+    return words
 
-    Yields, for each step, the mass of every cell and the clipped conditional
-    probability q of f(x, y) = 1 in it; the step's term is mass @ phi(q).
-    The partition is held as one integer cell label per active input.  Cells
-    reduced to a single input have a conditional probability of exactly 0 or
-    1 and contribute nothing to any later term, so they are retired from the
-    active set as soon as they appear; once nothing is active the generator
-    stops, and every remaining term is zero.
+
+def _bit_length(v: np.ndarray) -> np.ndarray:
+    """Bit length of every uint64 (0 for 0), exactly: each half converts to
+    float without rounding, and frexp's exponent is the bit length."""
+    high = np.frexp((v >> np.uint64(32)).astype(np.float64))[1]
+    low = np.frexp((v & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
+    return np.where(high > 0, high + 32, low)
+
+
+def _common_prefixes(rows: np.ndarray, order: np.ndarray, y_size: int) -> np.ndarray:
+    """The longest common prefix, in bits, of every pair of rows (packed
+    words) adjacent in ``order``; ``y_size`` for equal rows.  Int32, one per
+    pair.  The rows are gathered a slice at a time, never all reordered."""
+    nwords = rows.shape[1]
+    lcp = np.empty(max(order.size - 1, 0), dtype=np.int32)
+    step = max(1, (1 << 16) // nwords)
+    for a in range(0, lcp.size, step):
+        diff = rows[order[1:][a : a + step]] ^ rows[order[:-1][a : a + step]]
+        # The first differing word (word 0 when the rows are equal).
+        word = (diff != 0).argmax(axis=1)
+        first = np.take_along_axis(diff, word[:, None], axis=1)[:, 0]
+        lcp[a : a + step] = np.where(first != 0, 64 * word + 64 - _bit_length(first), y_size)
+    return lcp
+
+
+def _previous_smaller(values: np.ndarray) -> np.ndarray:
+    """For every i, one more than the largest j < i with values[j] < values[i];
+    0 when there is none.
+
+    All nearest smaller values by pointer jumping: each pointer starts at its
+    left neighbour and, while the value it points at is not smaller, jumps to
+    that entry's own pointer.  Everything a pointer skips is at least the
+    skipping entry's value, so the pointers stay valid.  Pointers that jump
+    together double their reach each round; one that meets resolved pointers
+    follows their chain to a smaller value each round.  Each round costs
+    time in proportion to the pointers still unresolved.
     """
-    if xs is None:
-        xs = np.arange(f.x_size, dtype=np.int64)
-    labels = np.zeros(wts.size, dtype=np.int64)
-    ncells = 1
-    for y in perm:
-        if xs.size == 0:
-            return
-        col = f.bits_at(xs, y).astype(np.int64)
-        mass = np.bincount(labels, weights=wts, minlength=ncells)
-        ones = np.bincount(labels, weights=wts * col, minlength=ncells)
-        yield mass, np.clip(ones / mass, 0.0, 1.0)
-        labels, sizes = _split(labels, col, ncells)
-        ncells = sizes.size
-        if ncells and int(sizes.min()) == 1:
-            keep = sizes[labels] > 1
-            xs, wts, labels = xs[keep], wts[keep], labels[keep]
-            if xs.size:
-                member_counts = np.bincount(labels, minlength=ncells)
-                alive = member_counts > 0
-                labels = (np.cumsum(alive) - 1)[labels]
-                ncells = int(alive.sum())
-            else:
-                ncells = 0
+    # Entry 0 is a sentinel smaller than every value, so no pointer runs off.
+    ext = np.empty(values.size + 1, dtype=np.int32)
+    ext[0] = -1
+    ext[1:] = values
+    ptr = np.arange(-1, values.size, dtype=np.int32)
+    ptr[0] = 0
+    todo = np.flatnonzero(ext[:-1] >= ext[1:]).astype(np.int32) + 1
+    while todo.size:
+        ptr[todo] = ptr[ptr[todo]]
+        todo = todo[ext[ptr[todo]] >= ext[todo]]
+    return ptr[1:]
+
+
+#: ``_RefinementTrace.terms`` evaluates phi over at most this many nodes at once.
+_PHI_SLICE = 1 << 16
 
 
 class _RefinementTrace:
-    """One run of ``_refine`` kept as flat arrays, to be priced under any channel.
+    """The refinement of X along ``perm``, as the branching nodes of the row trie.
 
-    Step i owns entries ``offsets[i]:offsets[i + 1]`` of ``mass`` and ``q``;
-    steps after the last stored one contribute zero.
+    The cells after step i are the sets of active inputs whose rows, read in
+    the order ``perm``, share their first i entries: the nodes at depth i of
+    the binary trie of the rows.  Only a node with both children (0 < q < 1)
+    contributes to a term.  So the rows are sorted once; every adjacent pair
+    of sorted rows that differ is exactly one branching node, at the depth of
+    their longest common prefix d, and its cell runs between the nearest pairs
+    on either side whose common prefix is shorter than d.  Cell masses and
+    ones masses are differences of one prefix sum of the sorted weights.
+
+    Step i owns entries ``offsets[i]:offsets[i + 1]`` of ``mass`` and ``q``,
+    its branching nodes in the lexicographic order of their prefixes; duplicate
+    rows and cells that no longer split cost nothing.
     """
 
     def __init__(self, f: BooleanFunction, dist: InputDistribution, perm):
         xs, wts = _support(f, dist)
-        # The first step always yields: y_size >= 1 and some input has weight.
-        masses, qs = zip(*_refine(f, xs, wts, perm))
-        self.steps = len(perm)
-        self.offsets = [0, *itertools.accumulate(m.size for m in masses)]
-        self.mass = np.concatenate(masses)
-        self.q = np.concatenate(qs)
+        y_size = len(perm)
+        rows = _row_words(f, xs, np.asarray(perm, dtype=np.int64))
+        # lexsort's last key is its primary one.
+        order = np.lexsort(rows.T[::-1])
+        lcp = _common_prefixes(rows, order, y_size)
+        del rows
+        cum = np.zeros(order.size + 1)
+        np.cumsum(wts[order], out=cum[1:])
+        del order
+        # edges[j + 1] is the first sorted row after node pair j, with edges[0]
+        # = 0 and edges[-1] = the row count.  Node j's cell is the sorted rows
+        # lo..hi-1, and its rows edges[j + 1]..hi-1 have a 1 in the column at
+        # the node's depth.
+        edges = np.zeros(np.count_nonzero(lcp < y_size) + 2, dtype=np.int32)
+        edges[1:-1] = np.flatnonzero(lcp < y_size)
+        edges[1:-1] += 1
+        edges[-1] = cum.size - 1
+        depth = lcp[edges[1:-1] - 1]
+        del lcp
+        lo = edges[_previous_smaller(depth)]
+        hi = edges[depth.size + 1 - _previous_smaller(depth[::-1])[::-1]]
+        mass = cum[hi]
+        mass -= cum[lo]
+        del lo
+        q = cum[hi]
+        q -= cum[edges[1:-1]]
+        del cum, edges, hi
+        # A node's true mass is positive, but a difference of prefix sums
+        # rounds to 0 when the node's weights are below the rounding error of
+        # the sums (weights spanning some 16 orders of magnitude); q is then 0.
+        np.divide(q, mass, out=q, where=mass > 0.0)
+        # A stable sort of small integers is a radix sort.
+        by_depth = np.argsort(depth.astype(np.uint16) if y_size < 1 << 16 else depth, kind="stable")
+        self.offsets = [0, *np.cumsum(np.bincount(depth, minlength=y_size)).tolist()]
+        self.mass = mass[by_depth]
+        del mass
+        self.q = q[by_depth]
 
     def terms(self, channel: ChannelModel) -> list:
-        """The step terms under ``channel``: one phi call over every stored cell."""
-        phi = channel.phi(self.q)
-        terms = [
-            float(self.mass[a:b] @ phi[a:b]) for a, b in itertools.pairwise(self.offsets)
+        """The step terms under ``channel``: phi over every branching node,
+        evaluated in slices so that its temporaries stay small."""
+        phi = np.empty_like(self.q)
+        for a in range(0, phi.size, _PHI_SLICE):
+            phi[a : a + _PHI_SLICE] = channel.phi(self.q[a : a + _PHI_SLICE])
+        return [
+            float(self.mass[a:b] @ phi[a:b]) if b > a else 0.0
+            for a, b in itertools.pairwise(self.offsets)
         ]
-        return terms + [0.0] * (self.steps - len(terms))
 
 
 def compute_bound(
@@ -295,12 +376,13 @@ def compute_bound(
 ) -> BoundReport:
     """Evaluate the information lower bound by partition refinement.
 
-    Cost is O(|Y| * |X|) plus bookkeeping; suitable up to |X| = |Y| = 2**14.
+    Reads each active row once and sorts the rows once: O(|X| * |Y|) bit
+    work plus O(|X| log |X|) word comparisons, and one phi evaluation per
+    branching node of the row trie (at most |X| - 1); suitable up to
+    |X| = |Y| = 2**14.
     """
     ordering = _as_ordering(ordering, f.y_size)
-    xs, wts = _support(f, dist)
-    terms = [float(mass @ channel.phi(q)) for mass, q in _refine(f, xs, wts, ordering.perm)]
-    terms += [0.0] * (len(ordering) - len(terms))
+    terms = _RefinementTrace(f, dist, ordering.perm).terms(channel)
     return BoundReport(
         ordering=ordering.perm,
         ordering_strategy=ordering.strategy,
@@ -388,9 +470,7 @@ def _kint_proof_perm(y_size: int, k: int) -> tuple:
 
 def _columns(f: BooleanFunction, xs) -> np.ndarray:
     """The table restricted to the active inputs, one column per Bob input."""
-    if xs is None:
-        xs = np.arange(f.x_size, dtype=np.int64)
-    return np.stack([f.bits_at(xs, y) for y in range(f.y_size)], axis=1)
+    return np.concatenate(list(f.row_blocks(xs)))
 
 
 def _price(

@@ -193,6 +193,49 @@ def test_truth_table_parse_errors():
         load_truth_table('{"x_size": 2.5, "y_size": 2, "bits": "0011"}')
 
 
+@pytest.mark.parametrize("sizes", ['"x_size": true, "y_size": 3', '"x_size": 1, "y_size": false'])
+def test_truth_table_refuses_boolean_sizes(sizes):
+    with pytest.raises(TruthTableFormatError, match="integers"):
+        load_truth_table('{%s, "bits": "011"}' % sizes)
+
+
+@pytest.mark.parametrize(
+    "bits, offset",
+    [("0110x", 4), ("2111", 0), ("01 0", 2), ("01\u00e90", 2), ("0\ud8001", 1), ("01", None)],
+)
+def test_truth_table_bit_check_names_the_first_bad_offset(bits, offset):
+    text = '{"x_size": 1, "y_size": %d, "bits": "%s"}' % (len(json.loads(f'"{bits}"')), bits)
+    if offset is None:
+        assert load_truth_table(text).bits() == "01"
+        return
+    char = json.loads(f'"{bits}"')[offset]
+    with pytest.raises(TruthTableFormatError) as info:
+        load_truth_table(text)
+    assert str(info.value) == f"bits[{offset}] = {char!r} is not '0' or '1'"
+
+
+def test_truth_table_bit_check_on_a_large_table():
+    rng = np.random.default_rng(3)
+    bits = "".join(map(str, rng.integers(0, 2, 1 << 16)))
+    f = load_truth_table(json.dumps({"x_size": 256, "y_size": 256, "bits": bits}))
+    assert f.bits() == bits
+    bad = bits[:40000] + "1" * 3 + "." + bits[40004:]
+    with pytest.raises(TruthTableFormatError, match=r"bits\[40003\] = '\.'"):
+        load_truth_table(json.dumps({"x_size": 256, "y_size": 256, "bits": bad}))
+
+
+def test_row_blocks_match_the_table():
+    rng = np.random.default_rng(11)
+    for x_size, y_size in [(1, 1), (3, 5), (70, 1000), (5000, 13)]:
+        f = BooleanFunction(x_size, y_size, rng.integers(0, 2, x_size * y_size))
+        table = f.table_array()
+        xs = np.flatnonzero(rng.random(x_size) < 0.5)
+        cols = rng.permutation(y_size)
+        assert np.array_equal(np.concatenate(list(f.row_blocks())), table)
+        got = list(f.row_blocks(xs, cols))
+        assert np.array_equal(np.concatenate(got) if got else np.zeros((0, y_size)), table[xs][:, cols])
+
+
 def test_apply_x_substitution_identity():
     f = build_family(InnerProduct(2))
     assert apply_x_substitution(f, range(4)) == f
@@ -273,6 +316,13 @@ def test_distribution_from_json():
         InputDistribution.from_json('{"a": 1}')
     with pytest.raises(TruthTableFormatError):
         InputDistribution.from_json('[1, "x"]')
+
+
+def test_distribution_from_json_refuses_booleans():
+    with pytest.raises(TruthTableFormatError, match="numbers"):
+        InputDistribution.from_json("[true, 1, 1, 1]")
+    with pytest.raises(TruthTableFormatError, match="numbers"):
+        InputDistribution.from_json("[1, false, 1.5]")
 
 
 def test_save_format_is_documented_json():

@@ -256,6 +256,26 @@ def test_non_finite_weight_files_are_refused(capsys, tmp_path, content):
     assert "finite" in err
 
 
+def test_boolean_weight_file_is_refused(capsys, tmp_path):
+    dist = tmp_path / "d.json"
+    dist.write_text("[true, 1, 1, 1]", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "bound", "--table", write_disj2_table(tmp_path), "--dist", f"file:{dist}"
+    )
+    assert code == 2
+    assert out == ""
+    assert "numbers" in err
+
+
+def test_boolean_table_size_is_refused(capsys, tmp_path):
+    table = tmp_path / "t.json"
+    table.write_text('{"x_size": true, "y_size": 3, "bits": "011"}', encoding="utf-8")
+    code, out, err = run_cli(capsys, "bound", "--table", str(table))
+    assert code == 2
+    assert out == ""
+    assert "integers" in err
+
+
 def test_oracle_check_refuses_max_size_zero(capsys):
     code, _, err = run_cli(capsys, "oracle-check", "--cases", "5", "--max-size", "0")
     assert code == 2

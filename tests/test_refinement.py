@@ -12,14 +12,25 @@ from icbounds import (
     Asymmetric,
     BooleanFunction,
     Deterministic,
+    Equality,
+    Index,
     InputDistribution,
     KIntersect,
     Symmetric,
     build_family,
     compute_bound,
+    direct_oracle,
     make_ordering,
+    standard_ordering,
 )
-from icbounds.icbound import _RefinementTrace, _refine, _support
+from icbounds.icbound import (
+    _common_prefixes,
+    _previous_smaller,
+    _RefinementTrace,
+    _row_words,
+    _split,
+    _support,
+)
 
 EPS = st.floats(min_value=0.0, max_value=0.499, allow_nan=False)
 CHANNELS = st.one_of(
@@ -27,6 +38,42 @@ CHANNELS = st.one_of(
     st.builds(Symmetric, EPS),
     st.builds(Asymmetric, EPS, EPS),
 )
+
+
+def reference_refine(f, xs, wts, perm):
+    """The per-step refinement the trie evaluator replaced: one pass over the
+    active inputs per Bob input, yielding each step's cell masses and clipped
+    q.  Cells reduced to a single input are retired from the active set; once
+    nothing is active the generator stops, and every remaining term is zero."""
+    if xs is None:
+        xs = np.arange(f.x_size, dtype=np.int64)
+    labels = np.zeros(wts.size, dtype=np.int64)
+    ncells = 1
+    for y in perm:
+        if xs.size == 0:
+            return
+        col = f.bits_at(xs, y).astype(np.int64)
+        mass = np.bincount(labels, weights=wts, minlength=ncells)
+        ones = np.bincount(labels, weights=wts * col, minlength=ncells)
+        yield mass, np.clip(ones / mass, 0.0, 1.0)
+        labels, sizes = _split(labels, col, ncells)
+        ncells = sizes.size
+        if ncells and int(sizes.min()) == 1:
+            keep = sizes[labels] > 1
+            xs, wts, labels = xs[keep], wts[keep], labels[keep]
+            if xs.size:
+                member_counts = np.bincount(labels, minlength=ncells)
+                alive = member_counts > 0
+                labels = (np.cumsum(alive) - 1)[labels]
+                ncells = int(alive.sum())
+            else:
+                ncells = 0
+
+
+def reference_terms(f, dist, perm, channel):
+    xs, wts = _support(f, dist)
+    terms = [float(mass @ channel.phi(q)) for mass, q in reference_refine(f, xs, wts, perm)]
+    return terms + [0.0] * (len(perm) - len(terms))
 
 
 @st.composite
@@ -57,6 +104,146 @@ def test_trace_terms_equal_compute_bound_terms_exactly(case, channels):
     trace = _RefinementTrace(f, dist, perm)
     for channel in channels:
         assert tuple(trace.terms(channel)) == compute_bound(f, dist, perm, channel).terms
+
+
+# y_size values that sit on either side of the 64-bit word boundaries.
+Y_SIZES = st.one_of(st.integers(1, 12), st.sampled_from([1, 63, 64, 65, 130]))
+
+
+@st.composite
+def trie_tables(draw):
+    """A table over few distinct rows (so many inputs share a row), with
+    y_size on or near the 64-bit word boundaries, weights that may be zero,
+    and a random ordering."""
+    x_size = draw(st.integers(1, 24))
+    y_size = draw(Y_SIZES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.integers(1, x_size))
+    rows = rng.integers(0, 2, (distinct, y_size), dtype=np.uint8)
+    perm = rng.permutation(y_size)
+    if draw(st.booleans()):
+        # Rows that agree on a long prefix of the ordering branch deep down.
+        shared = perm[: int(rng.integers(0, y_size + 1))]
+        rows[:, shared] = rows[0, shared]
+    table = rows[rng.integers(0, distinct, x_size)]
+    if draw(st.booleans()):
+        dist = InputDistribution.uniform(x_size)
+    else:
+        weights = rng.random(x_size)
+        weights[rng.random(x_size) < 0.3] = 0.0
+        weights[int(rng.integers(0, x_size))] += 0.5
+        dist = InputDistribution(weights)
+    return BooleanFunction(x_size, y_size, table), dist, tuple(int(v) for v in perm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(weighted_tables(), trie_tables()), CHANNELS)
+def test_trace_terms_match_the_per_step_reference(case, channel):
+    f, dist, perm = case
+    got = compute_bound(f, dist, perm, channel).terms
+    want = reference_terms(f, dist, perm, channel)
+    assert len(got) == len(want) == f.y_size
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(trie_tables(), CHANNELS)
+def test_trace_terms_match_direct_oracle(case, channel):
+    f, dist, perm = case
+    got = compute_bound(f, dist, perm, channel)
+    want = direct_oracle(f, dist, perm, channel)
+    assert max(abs(a - b) for a, b in zip(got.terms, want.terms)) <= 1e-9
+    assert abs(got.total - want.total) <= 1e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(trie_tables(), CHANNELS, st.integers(0, 2**32 - 1))
+def test_terms_invariant_under_permuting_x_with_its_weights(case, channel, seed):
+    f, dist, perm = case
+    sigma = np.random.default_rng(seed).permutation(f.x_size)
+    g = BooleanFunction(f.x_size, f.y_size, f.table_array()[sigma])
+    moved = InputDistribution(dist.weights[sigma])
+    got = compute_bound(g, moved, perm, channel).terms
+    want = compute_bound(f, dist, perm, channel).terms
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(trie_tables(), CHANNELS)
+def test_terms_invariant_under_flipping_outputs(case, channel):
+    # Flipping f swaps the two function values, so it swaps the two error
+    # rates of an asymmetric channel; the other channels treat them alike.
+    f, dist, perm = case
+    flipped = BooleanFunction(f.x_size, f.y_size, 1 - f.table_array())
+    mirror = Asymmetric(channel.eps_ii, channel.eps_i) if isinstance(channel, Asymmetric) else channel
+    got = compute_bound(flipped, dist, perm, mirror).terms
+    want = compute_bound(f, dist, perm, channel).terms
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+
+
+@pytest.mark.parametrize("family", [Index(12), Equality(8), KIntersect(8, 2)])
+def test_trace_terms_match_the_reference_on_families(family):
+    f = build_family(family)
+    dist = InputDistribution.uniform(f.x_size)
+    perm = standard_ordering(family).perm
+    for channel in (Deterministic(), Symmetric(0.11), Asymmetric(0.03, 0.27)):
+        got = compute_bound(f, dist, perm, channel).terms
+        assert max(abs(a - b) for a, b in zip(got, reference_terms(f, dist, perm, channel))) <= 1e-12
+
+
+def test_duplicate_rows_and_a_single_input_cost_nothing():
+    # Two copies of each of two rows: one branching node, at the first column
+    # where the rows differ; every other step is exactly zero.
+    f = BooleanFunction(4, 3, [0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1])
+    terms = compute_bound(f, InputDistribution.uniform(4), (0, 1, 2), Symmetric(0.1)).terms
+    assert terms[0] == 0.0 and terms[2] == 0.0 and terms[1] > 0.0
+    single = BooleanFunction(1, 65, [1] * 65)
+    terms = compute_bound(single, InputDistribution.uniform(1), tuple(range(65)), Symmetric(0.2)).terms
+    assert terms == (0.0,) * 65
+
+
+def test_weights_below_the_rounding_of_the_prefix_sums_give_finite_terms():
+    # Sorted rows 00, 10, 11: the cell {10, 11} has a mass the prefix sums
+    # cannot resolve next to the weight of 00.
+    f = BooleanFunction(3, 2, [0, 0, 1, 0, 1, 1])
+    dist = InputDistribution([1.0, 1e-300, 1e-300])
+    for channel in (Deterministic(), Symmetric(0.1), Asymmetric(0.1, 0.3)):
+        got = compute_bound(f, dist, (0, 1), channel).terms
+        assert all(math.isfinite(t) for t in got)
+        assert max(abs(a - b) for a, b in zip(got, reference_terms(f, dist, (0, 1), channel))) <= 1e-12
+
+
+@pytest.mark.parametrize("y_size", [1, 63, 64, 65, 130])
+def test_common_prefixes_on_word_boundaries(y_size):
+    # Every bit from depth d on differs, so the rows' first differing word is
+    # all ones below its leading bit: the case a float bit length rounds up.
+    rng = np.random.default_rng(y_size)
+    for d in sorted({0, 31, 32, 52, 53, 54, 63, 64, 65, 127, 128, 129} & set(range(y_size))):
+        a = rng.integers(0, 2, y_size, dtype=np.uint8)
+        b = a.copy()
+        b[d:] ^= 1
+        f = BooleanFunction(2, y_size, np.concatenate([a, b]))
+        assert _common_prefixes(_row_words(f, None, np.arange(y_size)), np.arange(2), y_size).tolist() == [d]
+    same = BooleanFunction(2, y_size, np.ones(2 * y_size, dtype=np.uint8))
+    assert _common_prefixes(_row_words(same, None, np.arange(y_size)), np.arange(2), y_size).tolist() == [y_size]
+
+
+def test_previous_smaller_matches_a_stack_scan():
+    rng = np.random.default_rng(7)
+    for values in [
+        np.arange(50)[::-1],
+        np.arange(50),
+        np.r_[np.arange(1, 40), 0],
+        rng.integers(0, 6, 300),
+        np.array([], dtype=np.int64),
+    ]:
+        want, stack = [], []
+        for i, v in enumerate(values):
+            while stack and values[stack[-1]] >= v:
+                stack.pop()
+            want.append(stack[-1] + 1 if stack else 0)
+            stack.append(i)
+        assert _previous_smaller(values).tolist() == want
 
 
 def test_trace_of_fully_determined_table_pads_zero_terms():
@@ -125,10 +312,9 @@ def test_greedy_unchanged_on_random_weighted_tables(seed):
 def reference_exhaustive(f, dist, channel):
     """The exhaustive search as first written: every permutation in
     lexicographic order, each refined anew; the first strict maximum wins."""
-    xs, wts = _support(f, dist)
     top_total, top_perm = -math.inf, None
     for perm in itertools.permutations(range(f.y_size)):
-        total = math.fsum(float(mass @ channel.phi(q)) for mass, q in _refine(f, xs, wts, perm))
+        total = math.fsum(reference_terms(f, dist, perm, channel))
         if total > top_total:
             top_total, top_perm = total, perm
     return top_perm
@@ -167,13 +353,16 @@ def test_exhaustive_matches_brute_force_up_to_float_noise_ties():
 
 
 def test_exhaustive_breaks_a_float_noise_tie_to_the_smaller_permutation():
-    # Brute force returns (0, 1, 2, 4, 3, 5, 6, 7) here: its total exceeds the
-    # identity's by rounding alone, and no permutation does better.
+    # Brute force over the per-step reference returns (0, 1, 2, 4, 3, 5, 6, 7)
+    # here: its total exceeds the identity's by rounding alone, and no
+    # permutation does better.
     f = build_family(KIntersect(3, 1))
     dist = InputDistribution.uniform(f.x_size)
     channel = Symmetric(0.1)
     swapped = (0, 1, 2, 4, 3, 5, 6, 7)
     identity = tuple(range(8))
-    gap = compute_bound(f, dist, swapped, channel).total - compute_bound(f, dist, identity, channel).total
+    gap = math.fsum(reference_terms(f, dist, swapped, channel)) - math.fsum(
+        reference_terms(f, dist, identity, channel)
+    )
     assert 0.0 < gap < 1e-15
     assert make_ordering("exhaustive", f, dist, channel).perm == identity
