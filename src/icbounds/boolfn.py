@@ -162,7 +162,7 @@ class BooleanFunction:
         return "".join("1" if b else "0" for b in flat)
 
     def table_array(self) -> np.ndarray:
-        """The table as an (x_size, y_size) uint8 array."""
+        """The table as a fresh, writable (x_size, y_size) uint8 array."""
         flat = np.unpackbits(self._packed, count=self.x_size * self.y_size)
         return flat.reshape(self.x_size, self.y_size)
 

@@ -105,6 +105,11 @@ def _family_from_args(args):
     return cls(args.n)
 
 
+def _parameters(family) -> dict:
+    """A family's ``describe()`` without its name: the report's parameters."""
+    return {k: v for k, v in family.describe().items() if k != "family"}
+
+
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -118,9 +123,7 @@ def _resolve_function(args):
         f = load_truth_table(_read_text(args.table))
         return f, f"table:{args.table}", {"x_size": f.x_size, "y_size": f.y_size}
     family = _family_from_args(args)
-    params = family.describe()
-    name = params.pop("family")
-    return build_family(family), name, params
+    return build_family(family), family.name, _parameters(family)
 
 
 def _resolve_channel(args):
@@ -252,38 +255,30 @@ def _monomial_name(subset) -> str:
 def _handle_prbox_decompose(args) -> int:
     f, name, params = _resolve_function(args)
     dec = decompose(f)
-    ordered = sorted(dec.coefficients, key=lambda s: (len(s), s))
+    digits = dec.anf.T + ord("0")  # row m: the '0'/'1' bytes of coefficient m
+    constant = dec.constant.tolist()
+    terms = [
+        (_monomial_name(s), s, digits[m].tobytes().decode("ascii"), constant[m])
+        for m, s in dec.subsets()
+    ]
     payload = {
         "function": name,
         "parameters": params,
         "box_count": dec.box_count,
-        "message_term": "".join(str(b) for b in dec.message_term),
+        "message_term": terms[0][2],  # mask 0, the empty monomial, sorts first
         "coefficients": [
-            {
-                "monomial": _monomial_name(s),
-                "positions": list(s),
-                "bits": "".join(str(b) for b in dec.coefficients[s]),
-                "constant": len(set(dec.coefficients[s])) == 1,
-            }
-            for s in ordered
+            {"monomial": mono, "positions": list(s), "bits": bits, "constant": const}
+            for mono, s, bits, const in terms
         ],
     }
     if args.format == "json":
         _emit_json(payload)
     elif args.format == "csv":
-        rows = [["monomial", "bits", "constant"]]
-        rows += [
-            [_monomial_name(s), "".join(str(b) for b in dec.coefficients[s]),
-             str(len(set(dec.coefficients[s])) == 1).lower()]
-            for s in ordered
-        ]
-        _emit_csv(rows)
+        _emit_csv([["monomial", "bits", "constant"]]
+                  + [[mono, bits, str(const).lower()] for mono, _, bits, const in terms])
     else:
         lines = [f"function: {name} {params}", f"box count: {dec.box_count}"]
-        lines += [
-            f"  c[{_monomial_name(s)}] = {''.join(str(b) for b in dec.coefficients[s])}"
-            for s in ordered
-        ]
+        lines += [f"  c[{mono}] = {bits}" for mono, _, bits, _ in terms]
         _emit_text(lines)
     return 0
 
@@ -327,7 +322,7 @@ def _handle_prbox_violation(args) -> int:
     report = _violation_report(family, f, decomposition, biases, args.m)
     payload = {
         "function": family.name,
-        "parameters": {k: v for k, v in family.describe().items() if k != "family"},
+        "parameters": _parameters(family),
         "biases": list(biases),
         "message_bits": args.m,
         "success_probability": report.success_probability,
@@ -360,7 +355,7 @@ def _handle_prbox_maxbias(args) -> int:
     threshold = max_bias(family, args.m)
     payload = {
         "function": family.name,
-        "parameters": {k: v for k, v in family.describe().items() if k != "family"},
+        "parameters": _parameters(family),
         "message_bits": args.m,
         "max_bias": threshold,
     }

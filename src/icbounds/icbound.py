@@ -81,7 +81,7 @@ CHANNEL_SEMANTICS = (
 )
 
 #: Exhaustive ordering search refuses beyond this |Y| unless overridden.
-EXHAUSTIVE_LIMIT = 8
+EXHAUSTIVE_LIMIT = 16
 
 #: Exhaustive ordering search refuses beyond this |Y| even when overridden:
 #: it keeps one float per subset of Y (128 MiB at |Y| = 24).
@@ -533,8 +533,8 @@ def _exhaustive_perm(
     y_size = f.y_size
     if y_size > EXHAUSTIVE_LIMIT and not allow_big:
         raise ExhaustiveSearchRefusal(
-            f"exhaustive ordering over |Y| = {y_size} means evaluating "
-            f"{y_size}! = {math.factorial(y_size)} permutations; "
+            f"exhaustive ordering over |Y| = {y_size} means pricing "
+            f"2**{y_size} = {1 << y_size} subsets of Y; "
             "pass allow_big_exhaustive to override"
         )
     if y_size > EXHAUSTIVE_HARD_LIMIT:
@@ -602,7 +602,7 @@ def make_ordering(
                  programming over the subsets of Y (2**|Y| pricing passes);
                  among permutations whose totals agree with the maximum to
                  within 1e-12 * max(1, |total|) per step, the lexicographically
-                 smallest.  Refuses |Y| > 8 unless ``allow_big_exhaustive`` is
+                 smallest.  Refuses |Y| > 16 unless ``allow_big_exhaustive`` is
                  set, and |Y| > 24 in any case.
 
     ``threads`` is accepted for compatibility and has no effect.
@@ -715,6 +715,10 @@ def kint_analytic_bound(n: int, k: int, eps: float) -> float:
 # Randomized cross-check corpus
 # ---------------------------------------------------------------------------
 
+#: Largest ``oracle_check`` size: keeps |X| * |Y| within the 2**20 that
+#: ``direct_oracle`` is meant for.
+ORACLE_MAX_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class OracleCheckResult:
@@ -732,13 +736,15 @@ def oracle_check(cases: int = 100, seed: int = 1783, max_size: int = 16) -> Orac
     """Compare ``compute_bound`` and ``direct_oracle`` on random cases.
 
     Random functions, distributions, orderings and channels (all three kinds)
-    with x_size, y_size up to ``max_size``; returns the largest per-term or
-    total deviation observed.
+    with x_size, y_size up to ``max_size`` (at most ``ORACLE_MAX_SIZE``);
+    returns the largest per-term or total deviation observed.
     """
     if cases < 1:
         raise ArgumentError(f"cases must be >= 1, got {cases}")
-    if max_size < 1:
-        raise ArgumentError(f"max_size must be >= 1, got {max_size}")
+    if not 1 <= max_size <= ORACLE_MAX_SIZE:
+        raise ArgumentError(
+            f"max_size must lie in [1, {ORACLE_MAX_SIZE}], got {max_size}"
+        )
     rng = np.random.default_rng(seed)
     worst = 0.0
     for case in range(cases):

@@ -19,12 +19,16 @@ when an odd number of boxes err and the success probability
 
 is independent of the inputs.  ``success_probability`` returns that product
 form, which is exact: no enumeration of the 2**boxes error patterns is needed.
+
+The coefficients are kept as one (|X|, |Y|) uint8 matrix, the Moebius
+transform of the truth table along y; ``VanDamDecomposition`` gives its layout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -41,50 +45,61 @@ from .icbound import (
 from .infocalc import TOLERANCE
 
 
-def _subset_order(subset: tuple) -> tuple:
-    return (len(subset), subset)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VanDamDecomposition:
-    """ANF-over-y coefficients of a function, keyed by y-bit position subsets.
+    """ANF-over-y coefficients of a function, one column per y-bit subset.
 
-    ``coefficients`` maps each subset S (a sorted tuple of positions, MSB
-    convention: position i is the i-th written bit of y) to the tuple of
-    coefficient bits over x.  The box and local-term lists are fixed at
-    construction: ``decompose`` passes them in from its coefficient array,
-    and they are derived from ``coefficients`` when left out.
+    ``anf`` is the read-only (x_size, 2**y_bits) uint8 matrix whose column m
+    is c_S(x) for the subset S of positions whose bits are set in m (MSB
+    convention: position i is bit y_bits - 1 - i of m, so mask 0b110 with
+    y_bits = 3 is S = (0, 1)).  Subset lists are in (size, subset) order,
+    which within one size is decreasing mask order.
     """
 
     x_size: int
     y_bits: int
-    coefficients: dict
-    _boxes: Optional[tuple] = field(default=None, repr=False, compare=False)
-    _local_terms: Optional[tuple] = field(default=None, repr=False, compare=False)
+    anf: np.ndarray
 
-    def __post_init__(self):
-        if self._boxes is None or self._local_terms is None:
-            nonempty = [s for s in sorted(self.coefficients, key=_subset_order) if s]
-            values = {s: set(self.coefficients[s]) for s in nonempty}
-            boxes = tuple(s for s in nonempty if len(values[s]) > 1)
-            local_terms = tuple(s for s in nonempty if values[s] == {1})
-            object.__setattr__(self, "_boxes", boxes)
-            object.__setattr__(self, "_local_terms", local_terms)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VanDamDecomposition):
+            return NotImplemented
+        return np.array_equal(self.anf, other.anf)
 
-    @property
+    __hash__ = None
+
+    def subset(self, mask: int) -> tuple:
+        """The positions whose bits are set in ``mask``, ascending."""
+        return tuple(i for i in range(self.y_bits) if mask >> (self.y_bits - 1 - i) & 1)
+
+    def subsets(self, selected=None) -> list:
+        """(mask, subset) for every mask, or each ``selected`` one, in (size, subset) order."""
+        masks = range(self.anf.shape[1]) if selected is None else np.flatnonzero(selected).tolist()
+        return [(m, self.subset(m)) for m in sorted(masks, key=lambda m: (m.bit_count(), -m))]
+
+    @cached_property
+    def constant(self) -> np.ndarray:
+        """Per column: is c_S the same for every x."""
+        return self.anf.min(axis=0) == self.anf.max(axis=0)
+
+    @cached_property
+    def coefficients(self) -> dict:
+        """Each subset S mapped to the tuple of its coefficient bits over x."""
+        return {self.subset(m): tuple(bits) for m, bits in enumerate(self.anf.T.tolist())}
+
+    @cached_property
     def message_term(self) -> tuple:
         """c_{}: the coefficient Alice folds into her message."""
-        return self.coefficients[()]
+        return tuple(self.anf[:, 0].tolist())
 
-    @property
+    @cached_property
     def boxes(self) -> tuple:
         """Non-empty subsets with x-dependent coefficients; one PR box each."""
-        return self._boxes
+        return tuple(s for m, s in self.subsets(~self.constant) if m)
 
-    @property
+    @cached_property
     def local_terms(self) -> tuple:
         """Non-empty subsets with constant-1 coefficients; Bob computes these."""
-        return self._local_terms
+        return tuple(s for m, s in self.subsets(self.constant & (self.anf[0] == 1)) if m)
 
     @property
     def box_count(self) -> int:
@@ -95,43 +110,29 @@ class VanDamDecomposition:
         return int(all((y >> (self.y_bits - 1 - i)) & 1 for i in subset))
 
     def value(self, x: int, y: int) -> int:
-        """Reconstruct f(x, y) from the coefficients."""
-        acc = 0
-        for subset, bits in self.coefficients.items():
-            acc ^= bits[x] & self.monomial(subset, y)
-        return acc
+        """Reconstruct f(x, y): the XOR of column m at x over masks m with m & y == m."""
+        masks = np.arange(self.anf.shape[1])
+        return int(self.anf[x, (masks & y) == masks].sum() & 1)
 
 
 def decompose(f: BooleanFunction) -> VanDamDecomposition:
     """ANF of f over the bits of y, per fixed x (Moebius transform).
 
-    Requires y_size to be a power of two so the bits of y are well defined.
+    One in-place butterfly per bit of y: at level l, every column whose bit
+    l is set takes the XOR of its partner with that bit clear.  Requires
+    y_size to be a power of two so the bits of y are well defined.
     """
     n_bits = f.y_size.bit_length() - 1
     if (1 << n_bits) != f.y_size:
         raise UnsupportedSizeError(
             f"decomposition requires |Y| a power of two, got {f.y_size}"
         )
-    anf = f.table_array().astype(np.uint8).copy()
+    anf = f.table_array()
     for level in range(n_bits):
-        step = 1 << level
-        for start in range(0, f.y_size, step << 1):
-            anf[:, start + step:start + 2 * step] ^= anf[:, start:start + step]
-    rows = np.ascontiguousarray(anf.T)
-    subsets = [
-        tuple(i for i in range(n_bits) if (mask >> (n_bits - 1 - i)) & 1)
-        for mask in range(f.y_size)
-    ]
-    coefficients = {s: tuple(row.tolist()) for s, row in zip(subsets, rows)}
-    low, high = rows.min(axis=1), rows.max(axis=1)
-    ordered = sorted(range(1, f.y_size), key=lambda mask: _subset_order(subsets[mask]))
-    return VanDamDecomposition(
-        x_size=f.x_size,
-        y_bits=n_bits,
-        coefficients=coefficients,
-        _boxes=tuple(subsets[m] for m in ordered if low[m] != high[m]),
-        _local_terms=tuple(subsets[m] for m in ordered if low[m] == 1),
-    )
+        v = anf.reshape(f.x_size, -1, 2, 1 << level)
+        v[:, :, 1] ^= v[:, :, 0]
+    anf.flags.writeable = False
+    return VanDamDecomposition(f.x_size, n_bits, anf)
 
 
 def box_count(f: BooleanFunction) -> int:

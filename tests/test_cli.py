@@ -88,10 +88,10 @@ def test_bound_rejects_bad_eps(capsys):
 
 def test_bound_exhaustive_refusal_exit_code(capsys):
     code, _, err = run_cli(
-        capsys, "bound", "--family", "index", "--n", "9", "--ordering", "exhaustive"
+        capsys, "bound", "--family", "index", "--n", "17", "--ordering", "exhaustive"
     )
     assert code == 3
-    assert "362880" in err
+    assert "131072" in err
 
 
 def test_bound_text_and_csv_formats(capsys):
@@ -282,6 +282,13 @@ def test_oracle_check_refuses_max_size_zero(capsys):
     assert "max_size" in err
 
 
+def test_oracle_check_refuses_max_size_beyond_the_oracle(capsys):
+    code, out, err = run_cli(capsys, "oracle-check", "--cases", "2", "--max-size", "100000")
+    assert code == 2
+    assert out == ""
+    assert "max_size must lie in [1, 1024]" in err
+
+
 def test_oversized_family_is_refused_with_exit_3(capsys):
     code, out, err = run_cli(capsys, "bound", "--family", "eq", "--n", "40")
     assert code == 3
@@ -324,6 +331,22 @@ FILE_CONTENTS = st.one_of(
     st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3), max_leaves=6).map(json.dumps),
     st.text(max_size=12),
 ).map(str.encode) | st.binary(max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cases=st.integers(-2, 2) | st.integers(),
+    max_size=st.integers(-2, 3) | st.integers(1025) | st.integers(max_value=0) | st.integers(),
+)
+def test_fuzzed_oracle_check_sizes_exit_cleanly(cases, max_size):
+    # Out-of-range counts and sizes are argument errors (2), refused before
+    # any table is drawn; exit 1 stays reserved for an oracle deviation.
+    valid = cases >= 1 and 1 <= max_size <= 1024
+    if valid:
+        cases, max_size = min(cases, 2), min(max_size, 3)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["oracle-check", "--cases", str(cases), "--max-size", str(max_size)])
+    assert code == (0 if valid else 2)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,7 @@
 """The bound evaluator, ordering strategies, closed forms, and the oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,8 +239,8 @@ def test_exhaustive_ordering_ip2():
 
 
 def test_exhaustive_refusal_names_cost():
-    f = build_family(Index(9))  # y_size = 9
-    with pytest.raises(ExhaustiveSearchRefusal, match="362880"):
+    f = build_family(Index(17))  # y_size = 17
+    with pytest.raises(ExhaustiveSearchRefusal, match=r"2\*\*17 = 131072 subsets"):
         make_ordering("exhaustive", f)
 
 
@@ -260,6 +261,18 @@ def test_exhaustive_threads_agree():
 def test_oracle_check_rejects_empty_sizes():
     with pytest.raises(ArgumentError, match="max_size"):
         oracle_check(cases=5, max_size=0)
+
+
+@pytest.mark.parametrize("max_size", [1025, 100000, 2**62])
+def test_oracle_check_refuses_sizes_beyond_the_oracle_before_allocating(max_size):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArgumentError, match=r"max_size must lie in \[1, 1024\]"):
+            oracle_check(cases=2, max_size=max_size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_unknown_strategy():

@@ -50,7 +50,56 @@ def assemble_from_coefficients(x_size, y_bits, coefficients):
     return BooleanFunction(x_size, y_size, bits)
 
 
+def box_lists(coefficients):
+    """(boxes, local_terms) derived from the coefficient tuples alone."""
+    nonempty = [s for s in sorted(coefficients, key=lambda s: (len(s), s)) if s]
+    values = {s: set(coefficients[s]) for s in nonempty}
+    boxes = tuple(s for s in nonempty if len(values[s]) > 1)
+    local_terms = tuple(s for s in nonempty if values[s] == {1})
+    return boxes, local_terms
+
+
+def reference_coefficients(f):
+    """ANF over y by a uint8 Moebius loop over blocks of y, keyed by subset."""
+    n_bits = f.y_size.bit_length() - 1
+    anf = f.table_array().astype(np.uint8).copy()
+    for level in range(n_bits):
+        step = 1 << level
+        for start in range(0, f.y_size, step << 1):
+            anf[:, start + step:start + 2 * step] ^= anf[:, start:start + step]
+    subsets = [
+        tuple(i for i in range(n_bits) if (mask >> (n_bits - 1 - i)) & 1)
+        for mask in range(f.y_size)
+    ]
+    return {s: tuple(row.tolist()) for s, row in zip(subsets, anf.T)}
+
+
+@st.composite
+def power_of_two_tables(draw):
+    x_size = draw(st.integers(1, 4))
+    y_size = 1 << draw(st.integers(0, 10))
+    nbytes = -(-x_size * y_size // 8)
+    data = draw(st.binary(min_size=nbytes, max_size=nbytes))
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=x_size * y_size)
+    return BooleanFunction(x_size, y_size, bits)
+
+
 # --- decomposition -----------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(power_of_two_tables())
+def test_decompose_matches_the_reference_moebius_loop(f):
+    d = decompose(f)
+    reference = reference_coefficients(f)
+    boxes, local_terms = box_lists(reference)
+    assert d.coefficients == reference
+    assert d.coefficients is d.coefficients  # derived once per decomposition
+    assert (d.boxes, d.local_terms, d.box_count) == (boxes, local_terms, len(boxes))
+    assert d.message_term == reference[()]
+    assert not d.anf.flags.writeable
+    for x in range(f.x_size):
+        assert [d.value(x, y) for y in range(f.y_size)] == f.row(x).tolist()
 
 
 def test_disjointness2_coefficients():
@@ -122,19 +171,22 @@ def test_reconstruction_for_random_functions():
 
 
 def test_decompose_box_lists_match_a_direct_construction():
-    # decompose derives the box and local-term lists from its coefficient
-    # array; a decomposition built from the coefficients alone derives them
-    # from the tuples.
-    rng = np.random.default_rng(54)
-    for family in (Index(4), InnerProduct(3), Disjointness(3), KIntersect(4, 2)):
-        d = decompose(build_family(family))
-        direct = VanDamDecomposition(d.x_size, d.y_bits, d.coefficients)
-        assert (d.boxes, d.local_terms) == (direct.boxes, direct.local_terms)
-    for _ in range(100):
-        d = decompose(random_function(rng, int(rng.integers(1, 9)), int(2 ** rng.integers(0, 5))))
-        direct = VanDamDecomposition(d.x_size, d.y_bits, d.coefficients)
+    # decompose reads the box and local-term lists off its coefficient
+    # matrix; here they are derived from the coefficient tuples alone, and a
+    # decomposition built from a matrix assembled out of those tuples equals
+    # decompose's.
+    def check(d):
+        assert (d.boxes, d.local_terms) == box_lists(d.coefficients)
+        columns = [d.coefficients[d.subset(m)] for m in range(1 << d.y_bits)]
+        direct = VanDamDecomposition(d.x_size, d.y_bits, np.array(columns, dtype=np.uint8).T)
         assert (d.boxes, d.local_terms) == (direct.boxes, direct.local_terms)
         assert d == direct
+
+    rng = np.random.default_rng(54)
+    for family in (Index(4), InnerProduct(3), Disjointness(3), KIntersect(4, 2)):
+        check(decompose(build_family(family)))
+    for _ in range(100):
+        check(decompose(random_function(rng, int(rng.integers(1, 9)), int(2 ** rng.integers(0, 5)))))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
