@@ -166,6 +166,20 @@ class BooleanFunction:
         flat = np.unpackbits(self._packed, count=self.x_size * self.y_size)
         return flat.reshape(self.x_size, self.y_size)
 
+    def packed_rows(self) -> np.ndarray:
+        """Read-only (x_size, ceil(y_size / 8)) uint8 rows, eight bits per byte.
+
+        Bit y of row x is bit 7 - (y & 7) of byte y >> 3 (MSB first), and
+        each row is padded with zero bits to a whole byte: the array
+        ``np.packbits(self.table_array(), axis=1)`` gives.  When y_size is a
+        multiple of 8 this is a view of the stored table.
+        """
+        if self.y_size % 8:
+            rows = np.packbits(self.table_array(), axis=1)
+            rows.flags.writeable = False
+            return rows
+        return self._packed.reshape(self.x_size, self.y_size // 8)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, BooleanFunction):
             return NotImplemented

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -75,7 +76,8 @@ def _rounded(obj):
 
 
 def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(_rounded(payload), indent=2) + "\n")
+    json.dump(_rounded(payload), sys.stdout, indent=2)  # written chunk by chunk
+    sys.stdout.write("\n")
 
 
 def _emit_csv(rows) -> None:
@@ -252,34 +254,46 @@ def _monomial_name(subset) -> str:
     return "1" if not subset else "*".join(f"y{i}" for i in subset)
 
 
+def _coefficient_terms(dec):
+    """Yield (monomial, subset, bits, constant) per mask in (size, subset) order.
+
+    ``bits`` is the column's '0'/'1' string over x, made from one block of
+    unpacked columns at a time.
+    """
+    constant = dec.constant.tolist()
+    subsets = dec.subsets()
+    columns = itertools.chain.from_iterable(dec.column_blocks([m for m, _ in subsets]))
+    for (m, s), bits in zip(subsets, columns):
+        bits += ord("0")
+        yield _monomial_name(s), s, bits.tobytes().decode("ascii"), constant[m]
+
+
 def _handle_prbox_decompose(args) -> int:
     f, name, params = _resolve_function(args)
     dec = decompose(f)
-    digits = dec.anf.T + ord("0")  # row m: the '0'/'1' bytes of coefficient m
-    constant = dec.constant.tolist()
-    terms = [
-        (_monomial_name(s), s, digits[m].tobytes().decode("ascii"), constant[m])
-        for m, s in dec.subsets()
-    ]
-    payload = {
-        "function": name,
-        "parameters": params,
-        "box_count": dec.box_count,
-        "message_term": terms[0][2],  # mask 0, the empty monomial, sorts first
-        "coefficients": [
+    terms = _coefficient_terms(dec)
+    if args.format == "json":
+        coefficients = [
             {"monomial": mono, "positions": list(s), "bits": bits, "constant": const}
             for mono, s, bits, const in terms
-        ],
-    }
-    if args.format == "json":
-        _emit_json(payload)
+        ]
+        _emit_json({
+            "function": name,
+            "parameters": params,
+            "box_count": dec.box_count,
+            "message_term": coefficients[0]["bits"],  # mask 0, the empty monomial, sorts first
+            "coefficients": coefficients,
+        })
     elif args.format == "csv":
-        _emit_csv([["monomial", "bits", "constant"]]
-                  + [[mono, bits, str(const).lower()] for mono, _, bits, const in terms])
+        # Monomial names, digits and true/false need no csv quoting, so each
+        # row is written as it is made, without the csv module's scan.
+        sys.stdout.write("monomial,bits,constant\n")
+        for mono, _, bits, const in terms:
+            sys.stdout.write(f"{mono},{bits},{str(const).lower()}\n")
     else:
-        lines = [f"function: {name} {params}", f"box count: {dec.box_count}"]
-        lines += [f"  c[{mono}] = {bits}" for mono, _, bits, _ in terms]
-        _emit_text(lines)
+        sys.stdout.write(f"function: {name} {params}\nbox count: {dec.box_count}\n")
+        for mono, _, bits, _ in terms:
+            sys.stdout.write(f"  c[{mono}] = {bits}\n")
     return 0
 
 

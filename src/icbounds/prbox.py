@@ -20,8 +20,9 @@ when an odd number of boxes err and the success probability
 is independent of the inputs.  ``success_probability`` returns that product
 form, which is exact: no enumeration of the 2**boxes error patterns is needed.
 
-The coefficients are kept as one (|X|, |Y|) uint8 matrix, the Moebius
-transform of the truth table along y; ``VanDamDecomposition`` gives its layout.
+The coefficients are kept as one bit-packed (|X|, ceil(|Y| / 8)) uint8
+matrix, the Moebius transform of the truth table along y, each row padded
+with zero bits to a whole byte; ``VanDamDecomposition`` gives its layout.
 """
 
 from __future__ import annotations
@@ -45,15 +46,22 @@ from .icbound import (
 from .infocalc import TOLERANCE
 
 
+#: ``VanDamDecomposition.column_blocks`` unpacks about this many bits per block.
+_COLUMN_BLOCK_BITS = 1 << 22
+
+
 @dataclass(frozen=True, eq=False)
 class VanDamDecomposition:
-    """ANF-over-y coefficients of a function, one column per y-bit subset.
+    """ANF-over-y coefficients of a function, one bit column per y-bit subset.
 
-    ``anf`` is the read-only (x_size, 2**y_bits) uint8 matrix whose column m
-    is c_S(x) for the subset S of positions whose bits are set in m (MSB
-    convention: position i is bit y_bits - 1 - i of m, so mask 0b110 with
-    y_bits = 3 is S = (0, 1)).  Subset lists are in (size, subset) order,
-    which within one size is decreasing mask order.
+    ``anf`` is the read-only (x_size, ceil(2**y_bits / 8)) uint8 matrix of
+    bit-packed rows, MSB first: bit m of row x, that is bit 7 - (m & 7) of
+    byte m >> 3, is c_S(x) for the subset S of positions whose bits are set
+    in m (position i is bit y_bits - 1 - i of m, so mask 0b110 with
+    y_bits = 3 is S = (0, 1)).  When y_bits < 3 each row is padded with
+    zero bits to a whole byte, as ``np.packbits(..., axis=1)`` pads; the
+    padding belongs to no subset and stays zero.  Subset lists are in
+    (size, subset) order, which within one size is decreasing mask order.
     """
 
     x_size: int
@@ -63,7 +71,7 @@ class VanDamDecomposition:
     def __eq__(self, other) -> bool:
         if not isinstance(other, VanDamDecomposition):
             return NotImplemented
-        return np.array_equal(self.anf, other.anf)
+        return self.y_bits == other.y_bits and np.array_equal(self.anf, other.anf)
 
     __hash__ = None
 
@@ -73,23 +81,39 @@ class VanDamDecomposition:
 
     def subsets(self, selected=None) -> list:
         """(mask, subset) for every mask, or each ``selected`` one, in (size, subset) order."""
-        masks = range(self.anf.shape[1]) if selected is None else np.flatnonzero(selected).tolist()
+        masks = range(1 << self.y_bits) if selected is None else np.flatnonzero(selected).tolist()
         return [(m, self.subset(m)) for m in sorted(masks, key=lambda m: (m.bit_count(), -m))]
+
+    def _unpacked(self, rows: np.ndarray) -> np.ndarray:
+        """Packed rows (or one row) as one uint8 per mask, padding dropped."""
+        return np.unpackbits(rows, axis=-1, count=1 << self.y_bits)
+
+    @cached_property
+    def _varying(self) -> np.ndarray:
+        """A packed row whose bit m is set where c_S takes both values over x.
+
+        The rows are reduced as unsigned words of up to 8 bytes, so a
+        narrow row (Index(16)'s 2 bytes) is one element, not a short loop.
+        """
+        rows = np.ascontiguousarray(self.anf).view(f"u{min(self.anf.shape[1], 8)}")
+        varying = np.bitwise_or.reduce(rows, axis=0) ^ np.bitwise_and.reduce(rows, axis=0)
+        return varying.view(np.uint8)
 
     @cached_property
     def constant(self) -> np.ndarray:
         """Per column: is c_S the same for every x."""
-        return self.anf.min(axis=0) == self.anf.max(axis=0)
+        return self._unpacked(self._varying) == 0
 
     @cached_property
     def coefficients(self) -> dict:
         """Each subset S mapped to the tuple of its coefficient bits over x."""
-        return {self.subset(m): tuple(bits) for m, bits in enumerate(self.anf.T.tolist())}
+        columns = self._unpacked(self.anf).T.tolist()
+        return {self.subset(m): tuple(bits) for m, bits in enumerate(columns)}
 
     @cached_property
     def message_term(self) -> tuple:
         """c_{}: the coefficient Alice folds into her message."""
-        return tuple(self.anf[:, 0].tolist())
+        return tuple((self.anf[:, 0] >> 7).tolist())
 
     @cached_property
     def boxes(self) -> tuple:
@@ -99,11 +123,30 @@ class VanDamDecomposition:
     @cached_property
     def local_terms(self) -> tuple:
         """Non-empty subsets with constant-1 coefficients; Bob computes these."""
-        return tuple(s for m, s in self.subsets(self.constant & (self.anf[0] == 1)) if m)
+        ones = self._unpacked(self.anf[0]) == 1
+        return tuple(s for m, s in self.subsets(self.constant & ones) if m)
 
     @property
     def box_count(self) -> int:
-        return len(self.boxes)
+        """Varying columns other than mask 0 (the top bit of the first byte)."""
+        return int(np.bitwise_count(self._varying).sum()) - int(self._varying[0] >> 7)
+
+    def column_blocks(self, masks):
+        """Yield the bits of the columns ``masks`` over x, in that order.
+
+        Each block is a (columns, x_size) uint8 array of about
+        ``_COLUMN_BLOCK_BITS`` bits, so only one block is unpacked at a
+        time.  The packed matrix is first transposed at the byte level
+        (row j holds byte j of every packed row), after which a block is one
+        row gather, one shift and one mask.
+        """
+        masks = np.asarray(masks, dtype=np.int64)
+        byte_columns = np.ascontiguousarray(self.anf.T)
+        block = max(1, _COLUMN_BLOCK_BITS // self.x_size)
+        for start in range(0, masks.size, block):
+            chunk = masks[start:start + block]
+            shifts = (7 - (chunk & 7)).astype(np.uint8)[:, None]
+            yield (np.take(byte_columns, chunk >> 3, axis=0) >> shifts) & 1
 
     def monomial(self, subset, y: int) -> int:
         """prod_{i in subset} y_i for the y-index ``y``."""
@@ -111,15 +154,40 @@ class VanDamDecomposition:
 
     def value(self, x: int, y: int) -> int:
         """Reconstruct f(x, y): the XOR of column m at x over masks m with m & y == m."""
-        masks = np.arange(self.anf.shape[1])
-        return int(self.anf[x, (masks & y) == masks].sum() & 1)
+        y_size = 1 << self.y_bits
+        if not 0 <= x < self.x_size or not 0 <= y < y_size:
+            raise ArgumentError(f"({x}, {y}) outside {self.x_size} x {y_size}")
+        masks = np.arange(y_size)
+        return int(self._unpacked(self.anf[x])[(masks & y) == masks].sum() & 1)
+
+
+#: Levels 0-5 of the Moebius transform on little-endian uint64 words, as
+#: (shift, amount, mask): a column whose level bit is set takes
+#: ``shift(w, amount) & mask``.  Levels 0-2 pair columns inside a byte, the
+#: partner being the next more significant bit (right shift); levels 3-5
+#: pair bytes 1, 2 and 4 apart, the partner being the byte below (left
+#: shift).  Each mask keeps only bits whose partner lies in the same byte or
+#: word, so no level mixes two rows.
+_WORD_LEVELS = (
+    (np.right_shift, 1, np.uint64(0x5555_5555_5555_5555)),
+    (np.right_shift, 2, np.uint64(0x3333_3333_3333_3333)),
+    (np.right_shift, 4, np.uint64(0x0F0F_0F0F_0F0F_0F0F)),
+    (np.left_shift, 8, np.uint64(0xFF00_FF00_FF00_FF00)),
+    (np.left_shift, 16, np.uint64(0xFFFF_0000_FFFF_0000)),
+    (np.left_shift, 32, np.uint64(0xFFFF_FFFF_0000_0000)),
+)
 
 
 def decompose(f: BooleanFunction) -> VanDamDecomposition:
     """ANF of f over the bits of y, per fixed x (Moebius transform).
 
-    One in-place butterfly per bit of y: at level l, every column whose bit
-    l is set takes the XOR of its partner with that bit clear.  Requires
+    One in-place butterfly per bit of y on the packed rows: at level l,
+    every column whose bit l is set takes the XOR of its partner with that
+    bit clear.  The rows are copied once into a zero-padded buffer of
+    little-endian uint64 words; levels 0-5 are one shift, mask and XOR
+    over all words (``_WORD_LEVELS``) and levels from 6 on XOR whole word
+    slices.  The padding, whole zero bytes at the end and zero bits after
+    each row of fewer than 8 columns, stays zero at every level.  Requires
     y_size to be a power of two so the bits of y are well defined.
     """
     n_bits = f.y_size.bit_length() - 1
@@ -127,11 +195,21 @@ def decompose(f: BooleanFunction) -> VanDamDecomposition:
         raise UnsupportedSizeError(
             f"decomposition requires |Y| a power of two, got {f.y_size}"
         )
-    anf = f.table_array()
+    rows = f.packed_rows()
+    words = np.zeros(-(-rows.size // 8), dtype="<u8")
+    words.view(np.uint8)[: rows.size] = rows.ravel()
+    scratch = np.empty_like(words)
     for level in range(n_bits):
-        v = anf.reshape(f.x_size, -1, 2, 1 << level)
-        v[:, :, 1] ^= v[:, :, 0]
-    anf.flags.writeable = False
+        if level < len(_WORD_LEVELS):
+            shift, amount, mask = _WORD_LEVELS[level]
+            shift(words, amount, out=scratch)
+            scratch &= mask
+            words ^= scratch
+        else:  # rows of 16 bytes or more: XOR word slices 2**(level - 6) long
+            v = words.reshape(-1, 2, 1 << (level - len(_WORD_LEVELS)))
+            v[:, 1] ^= v[:, 0]
+    words.flags.writeable = False
+    anf = words.view(np.uint8)[: rows.size].reshape(rows.shape)
     return VanDamDecomposition(f.x_size, n_bits, anf)
 
 

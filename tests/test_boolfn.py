@@ -236,6 +236,15 @@ def test_row_blocks_match_the_table():
         assert np.array_equal(np.concatenate(got) if got else np.zeros((0, y_size)), table[xs][:, cols])
 
 
+def test_packed_rows_match_the_table():
+    rng = np.random.default_rng(12)
+    for x_size, y_size in [(1, 1), (5, 2), (9, 4), (3, 5), (17, 8), (6, 13), (4, 64)]:
+        f = BooleanFunction(x_size, y_size, rng.integers(0, 2, x_size * y_size))
+        rows = f.packed_rows()
+        assert np.array_equal(rows, np.packbits(f.table_array(), axis=1))
+        assert not rows.flags.writeable
+
+
 def test_apply_x_substitution_identity():
     f = build_family(InnerProduct(2))
     assert apply_x_substitution(f, range(4)) == f

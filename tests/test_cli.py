@@ -6,11 +6,19 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icbounds import Index, build_family, Disjointness, save_truth_table, violation_check
+from icbounds import (
+    BooleanFunction,
+    Disjointness,
+    Index,
+    build_family,
+    save_truth_table,
+    violation_check,
+)
 from icbounds import cli, prbox
 from icbounds.cli import main
 
@@ -138,6 +146,29 @@ def test_prbox_decompose_disj2(capsys):
     monomials = {c["monomial"]: c for c in payload["coefficients"]}
     assert monomials["y0"]["bits"] == "0011"
     assert monomials["y0*y1"]["bits"] == "0001"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_prbox_decompose_output_does_not_depend_on_the_block_size(capsys, monkeypatch, tmp_path, fmt):
+    # The bit strings are built a few columns at a time; blocks of one, three
+    # and every column must give the same bytes, and the strings must be the
+    # coefficients' bits.
+    rng = np.random.default_rng(61)
+    f = BooleanFunction(11, 16, rng.integers(0, 2, 11 * 16))
+    table = tmp_path / "f.json"
+    table.write_text(save_truth_table(f))
+    args = ("prbox", "decompose", "--table", str(table), "--format", fmt)
+    outputs = []
+    for columns in (1, 3, 16):
+        monkeypatch.setattr(prbox, "_COLUMN_BLOCK_BITS", columns * f.x_size)
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    if fmt == "json":
+        d = prbox.decompose(f)
+        bits = {tuple(c["positions"]): c["bits"] for c in json.loads(outputs[0])["coefficients"]}
+        assert bits == {s: "".join(map(str, c)) for s, c in d.coefficients.items()}
 
 
 def test_prbox_bias_broadcast_and_value(capsys):

@@ -173,12 +173,13 @@ def test_reconstruction_for_random_functions():
 def test_decompose_box_lists_match_a_direct_construction():
     # decompose reads the box and local-term lists off its coefficient
     # matrix; here they are derived from the coefficient tuples alone, and a
-    # decomposition built from a matrix assembled out of those tuples equals
-    # decompose's.
+    # decomposition built from a matrix assembled out of those tuples (and
+    # bit-packed along each row, the layout ``anf`` holds) equals decompose's.
     def check(d):
         assert (d.boxes, d.local_terms) == box_lists(d.coefficients)
         columns = [d.coefficients[d.subset(m)] for m in range(1 << d.y_bits)]
-        direct = VanDamDecomposition(d.x_size, d.y_bits, np.array(columns, dtype=np.uint8).T)
+        packed = np.packbits(np.array(columns, dtype=np.uint8).T, axis=1)
+        direct = VanDamDecomposition(d.x_size, d.y_bits, packed)
         assert (d.boxes, d.local_terms) == (direct.boxes, direct.local_terms)
         assert d == direct
 
@@ -187,6 +188,56 @@ def test_decompose_box_lists_match_a_direct_construction():
         check(decompose(build_family(family)))
     for _ in range(100):
         check(decompose(random_function(rng, int(rng.integers(1, 9)), int(2 ** rng.integers(0, 5)))))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_box_counts_of_the_bitwise_families_in_closed_form(n):
+    # Sizes past the hypothesis property's |X| <= 4: the transform's levels
+    # inside a byte (|Y| >= 2), across the bytes of a word (|Y| >= 16) and
+    # over word slices (|Y| >= 128) all run, up to 2**20-bit tables.
+    assert box_count(build_family(InnerProduct(n))) == n
+    assert box_count(build_family(Disjointness(n))) == 2**n - 1
+    assert box_count(build_family(Equality(n))) == 2**n - 2
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_index_box_count_in_closed_form(k):
+    # Index(2**k) has 2**(2**k) rows of 2**k bits: Index(16) packs each row
+    # into 2 bytes.
+    assert box_count(build_family(Index(2**k))) == 2**k - 1
+
+
+@pytest.mark.parametrize("y_size", [1, 2, 4])
+@pytest.mark.parametrize("x_size", [5, 9, 17])
+def test_decompose_of_rows_narrower_than_a_byte_matches_the_reference(x_size, y_size):
+    # Before padding, 8 // y_size rows shared each byte of the table.
+    rng = np.random.default_rng(60 + x_size * y_size)
+    for _ in range(20):
+        f = random_function(rng, x_size, y_size)
+        d = decompose(f)
+        reference = reference_coefficients(f)
+        columns = [reference[d.subset(m)] for m in range(y_size)]
+        assert d.coefficients == reference
+        assert np.array_equal(d.anf, np.packbits(np.array(columns, dtype=np.uint8).T, axis=1))
+        assert np.array_equal(np.concatenate(list(d.column_blocks(range(y_size)))), columns)
+        assert d.box_count == len(box_lists(reference)[0])
+
+
+def test_the_coefficient_matrix_is_read_only():
+    d = decompose(build_family(InnerProduct(4)))
+    assert d.anf.shape == (16, 2)
+    assert not d.anf.flags.writeable
+    with pytest.raises(ValueError):
+        d.anf[0, 0] = 1
+    with pytest.raises(ValueError):
+        d.anf.flags.writeable = True
+
+
+@pytest.mark.parametrize("x, y", [(0, 8), (0, -1), (8, 0), (-1, 5), (1, 8)])
+def test_value_refuses_inputs_outside_the_table(x, y):
+    d = decompose(build_family(InnerProduct(3)))  # 8 x 8
+    with pytest.raises(ArgumentError):
+        d.value(x, y)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
