@@ -9,9 +9,13 @@ to y.  ``bits_to_index`` / ``index_to_bits`` implement it.
 
 Truth-table layout
 ------------------
-A function is stored as a flat bit sequence of length x_size * y_size where
-the bit at position x * y_size + y equals f(x, y).  Internally the bits are
-packed eight per byte so that tables up to |X| = |Y| = 2**14 stay small.
+In memory a function is a read-only (x_size, ceil(y_size / 8)) uint8 matrix:
+row x holds f(x, 0), f(x, 1), ... eight bits per byte, most significant bit
+first, and is padded with zero bits to a whole byte (at most 7 bits per row).
+That is ``np.packbits(table, axis=1)`` of the (x_size, y_size) table, so any
+row is one contiguous byte range, and tables up to |X| = |Y| = 2**14 take
+32 MiB.  ``BooleanFunction.packed_rows`` returns it.  The file format below
+and ``BooleanFunction.bits`` stay flat: position x * y_size + y, no padding.
 
 File formats
 ------------
@@ -42,6 +46,9 @@ MAX_TABLE_BITS = 1 << 28
 #: small enough that reordering a block's columns stays in the CPU cache.
 _BLOCK_BITS = 1 << 16
 
+#: ``build_family`` computes about this many table entries per chunk.
+_BUILD_CHUNK_BITS = 1 << 20
+
 
 def bits_to_index(bits) -> int:
     """Index of a bit string under the x0-MSB convention ('10' -> 2)."""
@@ -64,7 +71,7 @@ def index_to_bits(index: int, n: int) -> tuple:
 class BooleanFunction:
     """Immutable truth table of a total function f: X x Y -> {0,1}."""
 
-    __slots__ = ("x_size", "y_size", "_packed", "_colbase")
+    __slots__ = ("x_size", "y_size", "_packed")
 
     def __init__(self, x_size: int, y_size: int, table):
         x_size, y_size = int(x_size), int(y_size)
@@ -78,107 +85,90 @@ class BooleanFunction:
             arr = np.asarray(table).ravel()
         if arr.size != nbits:
             raise ArgumentError(f"table length {arr.size} != x_size*y_size = {nbits}")
-        arr = arr.astype(np.uint8)
-        if arr.size and int(arr.max(initial=0)) > 1:
-            offset = int(np.argmax(arr > 1))
-            raise ArgumentError(f"table entry at offset {offset} is not a bit")
-        packed = np.packbits(arr)
-        packed.setflags(write=False)
+        # Check the values before narrowing them: 256 or 0.5 must not pass as
+        # a bit.  A uint8 table of 0s and 1s needs only its maximum.
+        if arr.dtype != np.bool_ and not (arr.dtype == np.uint8 and int(arr.max(initial=0)) <= 1):
+            bad = (arr != 0) & (arr != 1)
+            if bad.any():
+                offset = int(bad.argmax())
+                raise ArgumentError(f"table entry at offset {offset} is not a bit")
+        bits = arr.astype(np.uint8, copy=False).reshape(x_size, y_size)
+        self._set(x_size, y_size, np.packbits(bits, axis=1))
+
+    def _set(self, x_size: int, y_size: int, rows: np.ndarray) -> None:
+        # The stored matrix is a view of a read-only array, so no caller of
+        # ``packed_rows`` can make it writable again.
+        rows.flags.writeable = False
         self.x_size = x_size
         self.y_size = y_size
-        self._packed = packed
-        self._colbase = None
+        self._packed = rows.view()
 
     @classmethod
-    def _from_packed(cls, x_size: int, y_size: int, packed: np.ndarray) -> "BooleanFunction":
+    def _from_rows(cls, x_size: int, y_size: int, rows: np.ndarray) -> "BooleanFunction":
+        """Wrap an (x_size, ceil(y_size / 8)) uint8 matrix in the layout of
+        ``packed_rows``, padding bits zero; the matrix is not copied."""
         obj = cls.__new__(cls)
-        packed.setflags(write=False)
-        obj.x_size = int(x_size)
-        obj.y_size = int(y_size)
-        obj._packed = packed
-        obj._colbase = None
+        obj._set(int(x_size), int(y_size), rows)
         return obj
-
-    def _positions(self, pos: np.ndarray) -> np.ndarray:
-        return (self._packed[pos >> 3] >> (7 - (pos & 7)).astype(np.uint8)) & 1
 
     def bit(self, x: int, y: int) -> int:
         """f(x, y) as a Python int."""
         if not 0 <= x < self.x_size or not 0 <= y < self.y_size:
             raise ArgumentError(f"({x}, {y}) outside {self.x_size} x {self.y_size}")
-        pos = x * self.y_size + y
-        return int((self._packed[pos >> 3] >> (7 - (pos & 7))) & 1)
+        return int(self._packed.item(x, y >> 3) >> (7 - (y & 7))) & 1
 
     def column(self, y: int) -> np.ndarray:
         """The vector f(., y) over all of X (dtype uint8)."""
         if not 0 <= y < self.y_size:
             raise ArgumentError(f"y = {y} outside range [0, {self.y_size})")
-        if self._colbase is None:
-            self._colbase = np.arange(self.x_size, dtype=np.int64) * self.y_size
-        return self._positions(self._colbase + y).astype(np.uint8)
+        return (self._packed[:, y >> 3] >> (7 - (y & 7))) & 1
 
     def bits_at(self, xs: np.ndarray, y: int) -> np.ndarray:
         """f(x, y) for an array of x indices (dtype uint8)."""
         if not 0 <= y < self.y_size:
             raise ArgumentError(f"y = {y} outside range [0, {self.y_size})")
-        return self._positions(xs.astype(np.int64) * self.y_size + y).astype(np.uint8)
+        return (self._packed[xs, y >> 3] >> (7 - (y & 7))) & 1
 
     def row_blocks(self, xs=None, cols=None):
         """Yield the rows f(x, .) for x in ``xs``, about 2**16 bits at a time.
 
-        ``xs`` is an increasing array of x indices (all of X when None) and
+        ``xs`` is an array of x indices (all of X when None) and
         ``cols`` a sequence of y indices giving the columns and their order
         (all of Y when None).  Each block is a C-contiguous uint8 array of
         shape (rows, len(cols)); the blocks together hold the rows in the
-        order of ``xs``.  Every block unpacks one contiguous byte range of
-        the row-major table, so no bit is gathered on its own.
+        order of ``xs``.  Every block unpacks whole packed rows, so no bit
+        is gathered on its own.
         """
         step = max(8, _BLOCK_BITS // self.y_size)
-        for start in range(0, self.x_size, step):
-            stop = min(start + step, self.x_size)
-            pick = None
-            if xs is not None:
-                lo, hi = np.searchsorted(xs, (start, stop))
-                if lo == hi:
-                    continue
-                pick = xs[lo:hi] - start
-            first, last = start * self.y_size, stop * self.y_size
-            bits = np.unpackbits(self._packed[first >> 3 : (last + 7) >> 3])
-            block = bits[first & 7 : (first & 7) + last - first].reshape(stop - start, self.y_size)
-            if pick is not None:
-                block = block[pick]
+        for start in range(0, self.x_size if xs is None else len(xs), step):
+            pick = slice(start, start + step) if xs is None else xs[start : start + step]
+            block = np.unpackbits(self._packed[pick], axis=1, count=self.y_size)
             yield block if cols is None else np.take(block, cols, axis=1)
 
     def row(self, x: int) -> np.ndarray:
         """The vector f(x, .) over all of Y (dtype uint8)."""
         if not 0 <= x < self.x_size:
             raise ArgumentError(f"x = {x} outside range [0, {self.x_size})")
-        pos = x * self.y_size + np.arange(self.y_size, dtype=np.int64)
-        return self._positions(pos).astype(np.uint8)
+        return np.unpackbits(self._packed[x], count=self.y_size)
 
     def bits(self) -> str:
-        """The table as a '0'/'1' string (intended for desk-scale tables)."""
-        flat = np.unpackbits(self._packed, count=self.x_size * self.y_size)
-        return "".join("1" if b else "0" for b in flat)
+        """The table as a '0'/'1' string, in the file format's x * y_size + y order."""
+        digits = np.unpackbits(self._packed, axis=1, count=self.y_size)
+        digits += ord("0")
+        return digits.tobytes().decode("ascii")
 
     def table_array(self) -> np.ndarray:
         """The table as a fresh, writable (x_size, y_size) uint8 array."""
-        flat = np.unpackbits(self._packed, count=self.x_size * self.y_size)
-        return flat.reshape(self.x_size, self.y_size)
+        return np.unpackbits(self._packed, axis=1, count=self.y_size)
 
     def packed_rows(self) -> np.ndarray:
-        """Read-only (x_size, ceil(y_size / 8)) uint8 rows, eight bits per byte.
+        """The stored table: a read-only (x_size, ceil(y_size / 8)) uint8 view.
 
         Bit y of row x is bit 7 - (y & 7) of byte y >> 3 (MSB first), and
         each row is padded with zero bits to a whole byte: the array
-        ``np.packbits(self.table_array(), axis=1)`` gives.  When y_size is a
-        multiple of 8 this is a view of the stored table.
+        ``np.packbits(self.table_array(), axis=1)`` gives.
         """
-        if self.y_size % 8:
-            rows = np.packbits(self.table_array(), axis=1)
-            rows.flags.writeable = False
-            return rows
-        return self._packed.reshape(self.x_size, self.y_size // 8)
+        return self._packed
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BooleanFunction):
@@ -219,9 +209,13 @@ class Index:
     def y_size(self) -> int:
         return self.n
 
-    def _block(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        shifts = (self.n - 1 - ys)[None, :]
-        return (xs[:, None] >> shifts) & 1
+    def _rows(self, xs: np.ndarray) -> np.ndarray:
+        # Row x is x itself in n bits, MSB first, then zero padding to a whole
+        # byte: the low bytes of x << pad, big-endian.  MAX_TABLE_BITS keeps
+        # n <= 23, so x << pad fits in 32 bits.
+        nbytes = -(-self.n // 8)
+        shifted = xs.astype(np.uint32) << (8 * nbytes - self.n)
+        return shifted.astype(">u4").view(np.uint8).reshape(-1, 4)[:, 4 - nbytes :]
 
     def describe(self) -> dict:
         return {"family": self.name, "n": self.n}
@@ -246,8 +240,8 @@ class InnerProduct:
     def y_size(self) -> int:
         return 1 << self.n
 
-    def _block(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(xs[:, None] & ys[None, :]).astype(np.uint8) & 1
+    def _rows(self, xs: np.ndarray) -> np.ndarray:
+        return np.packbits(np.bitwise_count(_meets(xs, self.y_size)) & 1, axis=1)
 
     def describe(self) -> dict:
         return {"family": self.name, "n": self.n}
@@ -272,8 +266,8 @@ class Disjointness:
     def y_size(self) -> int:
         return 1 << self.n
 
-    def _block(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return (xs[:, None] & ys[None, :]) == 0
+    def _rows(self, xs: np.ndarray) -> np.ndarray:
+        return np.packbits(_meets(xs, self.y_size) == 0, axis=1)
 
     def describe(self) -> dict:
         return {"family": self.name, "n": self.n}
@@ -298,8 +292,10 @@ class Equality:
     def y_size(self) -> int:
         return 1 << self.n
 
-    def _block(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return xs[:, None] == ys[None, :]
+    def _rows(self, xs: np.ndarray) -> np.ndarray:
+        rows = np.zeros((xs.size, -(-self.y_size // 8)), dtype=np.uint8)
+        rows[np.arange(xs.size), xs >> 3] = 0x80 >> (xs & 7)
+        return rows
 
     def describe(self) -> dict:
         return {"family": self.name, "n": self.n}
@@ -329,8 +325,8 @@ class KIntersect:
     def y_size(self) -> int:
         return 1 << self.n
 
-    def _block(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(xs[:, None] & ys[None, :]) >= self.k
+    def _rows(self, xs: np.ndarray) -> np.ndarray:
+        return np.packbits(np.bitwise_count(_meets(xs, self.y_size)) >= self.k, axis=1)
 
     def describe(self) -> dict:
         return {"family": self.name, "n": self.n, "k": self.k}
@@ -339,12 +335,19 @@ class KIntersect:
 FunctionFamily = Union[Index, InnerProduct, Disjointness, Equality, KIntersect]
 
 
+def _meets(xs: np.ndarray, y_size: int) -> np.ndarray:
+    """The block x & y for x in ``xs`` and every y, in the operands' dtype."""
+    return xs[:, None] & np.arange(y_size, dtype=xs.dtype)
+
+
 def build_family(family: FunctionFamily) -> BooleanFunction:
     """Materialize the truth table of a built-in family.
 
-    Large tables are built in row chunks and bit-packed, so families up to
-    |X| = |Y| = 2**14 are cheap to hold.  A table of more than
-    ``MAX_TABLE_BITS`` bits is refused before anything is allocated.
+    A table of more than ``MAX_TABLE_BITS`` bits is refused before anything
+    is allocated.  Otherwise the packed matrix is allocated once and each
+    family fills it with ready packed rows, about ``_BUILD_CHUNK_BITS``
+    entries at a time, so no temporary grows with the table.  The inputs
+    are the narrowest unsigned integers that hold both |X| - 1 and |Y| - 1.
     """
     x_size, y_size = family.x_size, family.y_size
     if x_size * y_size > MAX_TABLE_BITS:
@@ -352,16 +355,13 @@ def build_family(family: FunctionFamily) -> BooleanFunction:
             f"{family.name} table of {x_size} x {y_size} = {x_size * y_size} bits "
             f"exceeds the limit of {MAX_TABLE_BITS} bits (2**28)"
         )
-    ys = np.arange(y_size, dtype=np.int64)
-    # Chunk rows in multiples of 8 so every chunk packs on a byte boundary.
-    rows = max(8, (1 << 23) // y_size)
-    rows -= rows % 8
-    pieces = []
-    for start in range(0, x_size, rows):
-        xs = np.arange(start, min(start + rows, x_size), dtype=np.int64)
-        block = family._block(xs, ys).astype(np.uint8)
-        pieces.append(np.packbits(block.ravel()))
-    return BooleanFunction._from_packed(x_size, y_size, np.concatenate(pieces))
+    rows = np.empty((x_size, -(-y_size // 8)), dtype=np.uint8)
+    dtype = np.min_scalar_type(max(x_size, y_size) - 1)
+    step = max(1, _BUILD_CHUNK_BITS // y_size)
+    for start in range(0, x_size, step):
+        stop = min(start + step, x_size)
+        rows[start:stop] = family._rows(np.arange(start, stop, dtype=dtype))
+    return BooleanFunction._from_rows(x_size, y_size, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +415,7 @@ def apply_x_substitution(f: BooleanFunction, sigma) -> BooleanFunction:
         raise ArgumentError(f"sigma must have length {f.x_size}, got {sig.size}")
     if sig.size and (sig.min() < 0 or sig.max() >= f.x_size):
         raise ArgumentError("sigma image out of range")
-    pos = sig[:, None] * f.y_size + np.arange(f.y_size, dtype=np.int64)[None, :]
-    bits = f._positions(pos).astype(np.uint8)
-    return BooleanFunction._from_packed(f.x_size, f.y_size, np.packbits(bits.ravel()))
+    return BooleanFunction._from_rows(f.x_size, f.y_size, f.packed_rows()[sig])
 
 
 # ---------------------------------------------------------------------------

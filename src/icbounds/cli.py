@@ -80,6 +80,22 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
+def _emit_json_items(head: dict, key: str, items) -> None:
+    """``_emit_json(head | {key: list(items)})``, byte for byte, for a
+    non-empty ``head``, but each item is encoded and written as it is made,
+    so the list is never held whole."""
+    sys.stdout.write(json.dumps(_rounded(head), indent=2)[: -len("\n}")])
+    sys.stdout.write(f",\n  {json.dumps(key)}: [")
+    # An item nested two levels deep is its own indented encoding with every
+    # line moved right by four spaces.
+    newline = "\n    "
+    sep = newline
+    for item in items:
+        sys.stdout.write(sep + json.dumps(_rounded(item), indent=2).replace("\n", newline))
+        sep = "," + newline
+    sys.stdout.write("]\n}\n" if sep == newline else "\n  ]\n}\n")
+
+
 def _emit_csv(rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -273,17 +289,17 @@ def _handle_prbox_decompose(args) -> int:
     dec = decompose(f)
     terms = _coefficient_terms(dec)
     if args.format == "json":
-        coefficients = [
-            {"monomial": mono, "positions": list(s), "bits": bits, "constant": const}
-            for mono, s, bits, const in terms
-        ]
-        _emit_json({
+        first = next(terms)  # mask 0, the empty monomial, sorts first
+        head = {
             "function": name,
             "parameters": params,
             "box_count": dec.box_count,
-            "message_term": coefficients[0]["bits"],  # mask 0, the empty monomial, sorts first
-            "coefficients": coefficients,
-        })
+            "message_term": first[2],
+        }
+        _emit_json_items(head, "coefficients", (
+            {"monomial": mono, "positions": list(s), "bits": bits, "constant": const}
+            for mono, s, bits, const in itertools.chain([first], terms)
+        ))
     elif args.format == "csv":
         # Monomial names, digits and true/false need no csv quoting, so each
         # row is written as it is made, without the csv module's scan.

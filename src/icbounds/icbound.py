@@ -172,7 +172,12 @@ class Ordering:
     strategy: str = "custom"
 
     def __post_init__(self):
-        perm = tuple(int(v) for v in self.perm)
+        perm = tuple(self.perm)
+        for i, v in enumerate(perm):
+            # bools are ints, and a float such as 1.9 must not be truncated.
+            if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+                raise ArgumentError(f"ordering entry {i} is {v!r}, not an integer y index")
+        perm = tuple(int(v) for v in perm)
         if sorted(perm) != list(range(len(perm))):
             raise ArgumentError(f"not a permutation of 0..{len(perm) - 1}: {perm!r}")
         object.__setattr__(self, "perm", perm)
@@ -232,14 +237,20 @@ def _split(labels: np.ndarray, col: np.ndarray, ncells: int):
 def _row_words(f: BooleanFunction, xs, perm: np.ndarray) -> np.ndarray:
     """The active rows with their columns in ``perm`` order, packed MSB-first
     into uint64 words (zero padding after the last column): comparing two
-    rows as word tuples compares them lexicographically."""
+    rows as word tuples compares them lexicographically.  Under the identity
+    ordering the stored packed rows are copied as they are; any other
+    ordering unpacks a block of rows at a time, reorders its columns and
+    packs it again."""
     nbytes = -(-perm.size // 8)
     buf = np.zeros((f.x_size if xs is None else xs.size, -(-nbytes // 8) * 8), dtype=np.uint8)
-    start = 0
-    cols = None if np.array_equal(perm, np.arange(perm.size)) else perm
-    for block in f.row_blocks(xs, cols):
-        buf[start : start + block.shape[0], :nbytes] = np.packbits(block, axis=1)
-        start += block.shape[0]
+    if np.array_equal(perm, np.arange(perm.size)):
+        rows = f.packed_rows()
+        buf[:, :nbytes] = rows if xs is None else rows[xs]
+    else:
+        start = 0
+        for block in f.row_blocks(xs, perm):
+            buf[start : start + block.shape[0], :nbytes] = np.packbits(block, axis=1)
+            start += block.shape[0]
     words = buf.view(">u8")
     if not words.dtype.isnative:
         words = words.byteswap(inplace=True).view(np.uint64)

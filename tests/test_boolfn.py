@@ -158,6 +158,36 @@ def test_boolean_function_construction_and_access():
         BooleanFunction(0, 2, "")
 
 
+@pytest.mark.parametrize(
+    "table, offset",
+    [
+        ([256, 1], 0),
+        ([0, 257], 1),
+        ([0.5, 1.7], 0),
+        ([1.0, 0.999], 1),
+        ([0, -1], 1),
+        ([1, float("nan")], 1),
+        (np.array([0, 1], dtype=np.uint16) + np.array([0, 255], dtype=np.uint16), 1),
+        (np.array([1, 0], dtype=np.int8) - np.array([0, 1], dtype=np.int8), 1),
+        (["0", "1"], 0),
+        ([0, 2**70], 1),
+    ],
+)
+def test_constructor_refuses_entries_other_than_bits(table, offset):
+    # Each value is checked before it is narrowed to uint8, where 256 wraps
+    # to 0 and 1.7 truncates to 1.
+    with pytest.raises(ArgumentError, match=f"offset {offset} is not a bit"):
+        BooleanFunction(1, 2, table)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [[True, False], [1.0, 0.0], np.array([1, 0], dtype=np.int64), np.array([[1], [0]]), np.array([1, 0], dtype=bool)],
+)
+def test_constructor_accepts_bools_and_exact_float_bits(table):
+    assert BooleanFunction(2, 1, table) == BooleanFunction(2, 1, "10")
+
+
 def test_bits_at_matches_column():
     rng = np.random.default_rng(5)
     f = BooleanFunction(11, 7, rng.integers(0, 2, 77))

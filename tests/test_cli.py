@@ -171,6 +171,21 @@ def test_prbox_decompose_output_does_not_depend_on_the_block_size(capsys, monkey
         assert bits == {s: "".join(map(str, c)) for s, c in d.coefficients.items()}
 
 
+@pytest.mark.parametrize(
+    "head, items",
+    [
+        ({"a": 1, "b": {"c": [1, 2]}}, [{"x": [1, 2], "y": "s\n", "z": 0.1234567891234}, {"x": [], "y": {}}]),
+        ({"function": "f", "parameters": {}}, [[1, [2, []]], "text", 3, True, None]),
+        ({"a": 1}, []),
+    ],
+)
+def test_streamed_json_is_the_whole_payload_byte_for_byte(capsys, head, items):
+    cli._emit_json_items(head, "items", iter(items))
+    streamed = capsys.readouterr().out
+    cli._emit_json({**head, "items": items})
+    assert streamed == capsys.readouterr().out
+
+
 def test_prbox_bias_broadcast_and_value(capsys):
     code, out, _ = run_cli(
         capsys, "prbox", "bias", "--family", "ip", "--n", "2",

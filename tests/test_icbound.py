@@ -291,6 +291,21 @@ def test_ordering_validation():
         compute_bound(f, InputDistribution.uniform(4), Ordering((0, 1, 2)), Deterministic())
 
 
+@pytest.mark.parametrize(
+    "perm, entry",
+    [((0, 1.9), 1), ((1.0, 0), 0), ((True, 0), 0), ((1, np.False_), 1), (("0", 1), 0), ((0, None), 1)],
+)
+def test_ordering_refuses_entries_that_are_not_integers(perm, entry):
+    # A float is not truncated into an index and a boolean is not an int.
+    with pytest.raises(ArgumentError, match=f"ordering entry {entry} "):
+        Ordering(perm)
+
+
+def test_ordering_accepts_numpy_integers():
+    assert Ordering(np.array([2, 0, 1])).perm == (2, 0, 1)
+    assert all(type(v) is int for v in Ordering(np.array([1, 0], dtype=np.uint8)).perm)
+
+
 def test_standard_orderings():
     assert standard_ordering(Index(3)).strategy == "natural"
     assert standard_ordering(Equality(2)).strategy == "natural"
