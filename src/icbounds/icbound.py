@@ -27,10 +27,14 @@ rows f(x, .) read in the ordering, and only the branching nodes (0 < q < 1)
 contribute.  ``_RefinementTrace`` finds all of them from one sort of the
 rows: each adjacent pair of sorted rows that differ is one branching node,
 at the depth of their longest common prefix, and its cell reaches to the
-nearest pairs on either side with a shorter common prefix.  The trace does
-not depend on the channel; only phi does.  ``compute_bound`` prices one
-trace, and pricing one table under many channels -- the bisection over the
-error rate in ``prbox.max_bias`` -- evaluates phi again over the same trace.
+nearest pairs on either side with a shorter common prefix.  Nodes of one
+step that are adjacent in the sort and have the same q are merged into one
+entry holding their summed mass, since they share one phi value (Index(n)
+keeps one entry per step).  The trace does not depend on the channel; only
+phi does.  ``compute_bound`` prices one trace, and pricing one table under
+many channels -- the bisection over the error rate in ``prbox.max_bias`` --
+evaluates phi again over the same merged entries and sums every step's
+term in one pass.
 The ordering searches refine one column at a time with the cell-splitting
 step ``_split`` and price every candidate column of a partition at once
 (``_price``); exhaustive search is a dynamic program over the subsets of Y,
@@ -48,7 +52,6 @@ closed-form evaluator.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -322,9 +325,14 @@ class _RefinementTrace:
     on either side whose common prefix is shorter than d.  Cell masses and
     ones masses are differences of one prefix sum of the sorted weights.
 
-    Step i owns entries ``offsets[i]:offsets[i + 1]`` of ``mass`` and ``q``,
-    its branching nodes in the lexicographic order of their prefixes; duplicate
-    rows and cells that no longer split cost nothing.
+    The nodes are grouped by step, in the lexicographic order of their
+    prefixes within a step, and each run of adjacent nodes of one step with
+    exactly equal q is merged into one entry: ``step``, ``q`` and ``mass``
+    (the run's summed mass) hold one value per entry.  Only equal q merge,
+    so no tolerance is involved; under weights that make every cell's q
+    distinct nothing merges.  ``offsets`` still counts the branching nodes
+    per step before merging: step i had ``offsets[i + 1] - offsets[i]`` of
+    them.  Duplicate rows and cells that no longer split cost nothing.
     """
 
     def __init__(self, f: BooleanFunction, dist: InputDistribution, perm):
@@ -363,20 +371,33 @@ class _RefinementTrace:
         # A stable sort of small integers is a radix sort.
         by_depth = np.argsort(depth.astype(np.uint16) if y_size < 1 << 16 else depth, kind="stable")
         self.offsets = [0, *np.cumsum(np.bincount(depth, minlength=y_size)).tolist()]
-        self.mass = mass[by_depth]
-        del mass
-        self.q = q[by_depth]
+        step = depth[by_depth]
+        del depth
+        mass = mass[by_depth]
+        q = q[by_depth]
+        del by_depth
+        # Adjacent nodes of one step with equal q share one phi value.
+        first = np.ones(step.size, dtype=bool)
+        np.not_equal(step[1:], step[:-1], out=first[1:])
+        first[1:] |= q[1:] != q[:-1]
+        first = np.flatnonzero(first)
+        self.step = step[first]
+        del step
+        self.q = q[first]
+        del q
+        self.mass = np.add.reduceat(mass, first)
 
     def terms(self, channel: ChannelModel) -> list:
-        """The step terms under ``channel``: phi over every branching node,
-        evaluated in slices so that its temporaries stay small."""
+        """The step terms under ``channel``: phi once per run of equal q,
+        evaluated in slices so that its temporaries stay small, and every
+        step's sum in one pass."""
         phi = np.empty_like(self.q)
         for a in range(0, phi.size, _PHI_SLICE):
             phi[a : a + _PHI_SLICE] = channel.phi(self.q[a : a + _PHI_SLICE])
-        return [
-            float(self.mass[a:b] @ phi[a:b]) if b > a else 0.0
-            for a, b in itertools.pairwise(self.offsets)
-        ]
+        phi *= self.mass
+        # With no nodes at all, bincount returns integer zeros.
+        terms = np.bincount(self.step, weights=phi, minlength=len(self.offsets) - 1)
+        return terms.astype(np.float64, copy=False).tolist()
 
 
 def compute_bound(
@@ -389,8 +410,8 @@ def compute_bound(
 
     Reads each active row once and sorts the rows once: O(|X| * |Y|) bit
     work plus O(|X| log |X|) word comparisons, and one phi evaluation per
-    branching node of the row trie (at most |X| - 1); suitable up to
-    |X| = |Y| = 2**14.
+    run of adjacent branching nodes of the row trie with equal q (at most
+    |X| - 1 of them); suitable up to |X| = |Y| = 2**14.
     """
     ordering = _as_ordering(ordering, f.y_size)
     terms = _RefinementTrace(f, dist, ordering.perm).terms(channel)

@@ -254,6 +254,16 @@ class ViolationReport:
     bound: Optional[BoundReport]
 
 
+def _check_message_bits(message_bits) -> None:
+    # bools are ints, and a float such as 1.5 or NaN is no number of bits.
+    if (
+        isinstance(message_bits, (bool, np.bool_))
+        or not isinstance(message_bits, (int, np.integer))
+        or message_bits < 1
+    ):
+        raise ArgumentError(f"message_bits must be an integer >= 1, got {message_bits!r}")
+
+
 def violation_check(family: FunctionFamily, biases, message_bits: int) -> ViolationReport:
     """Does the biased-box protocol for a family break the m-bit bound?
 
@@ -261,7 +271,9 @@ def violation_check(family: FunctionFamily, biases, message_bits: int) -> Violat
     evaluates the bound under the family's standard ordering.  A success
     probability at or below 1/2 carries no signal and is reported as such
     (bound 0, not violated) rather than treated as an error.
+    ``message_bits`` must be an integer >= 1, else ``ArgumentError``.
     """
+    _check_message_bits(message_bits)
     f = build_family(family)
     return _violation_report(family, f, decompose(f), biases, message_bits)
 
@@ -274,8 +286,7 @@ def _violation_report(
     message_bits: int,
 ) -> ViolationReport:
     """``violation_check`` for a family whose table and decomposition are built."""
-    if message_bits < 1:
-        raise ArgumentError(f"message_bits must be >= 1, got {message_bits}")
+    _check_message_bits(message_bits)
     p = success_probability(decomposition, biases)
     eps = 1.0 - p
     if eps >= 0.5:
@@ -312,12 +323,16 @@ def max_bias(family: FunctionFamily, message_bits: int, precision: float = 1e-9)
     until the two ends are adjacent floats.  Returns 1.0 when even perfect
     boxes stay within the bound.
 
-    The table is refined once; each bisection probe then only evaluates the
-    channel's phi over the stored cells and sums the same terms
-    ``compute_bound`` would.
+    The table is refined once, with adjacent cells of one step that share q
+    merged (``icbound._RefinementTrace``); each bisection probe then only
+    evaluates the channel's phi once per merged entry and sums every step
+    in one pass, giving the same terms ``compute_bound`` would.
+    ``message_bits`` must be an integer >= 1 and ``precision`` a number
+    >= 0; anything else raises ``ArgumentError``.
     """
-    if message_bits < 1:
-        raise ArgumentError(f"message_bits must be >= 1, got {message_bits}")
+    _check_message_bits(message_bits)
+    if not precision >= 0.0:
+        raise ArgumentError(f"precision must be a number >= 0, got {precision!r}")
     f = build_family(family)
     dist = InputDistribution.uniform(f.x_size)
     trace = _RefinementTrace(f, dist, standard_ordering(family).perm)

@@ -449,6 +449,31 @@ def test_violation_rejects_bad_message_bits():
         violation_check(Index(2), [1.0], 0)
 
 
+# Not an integer number of bits: NaN passed as "not violated" with bound
+# 2.52, and 1.5 gave a threshold of 0.688.
+BAD_MESSAGE_BITS = [float("nan"), 1.5, 1.0, True, np.bool_(True), "1", None]
+
+
+@pytest.mark.parametrize("message_bits", BAD_MESSAGE_BITS, ids=repr)
+def test_violation_and_max_bias_refuse_message_bits_that_are_not_integers(message_bits):
+    with pytest.raises(ArgumentError, match="message_bits"):
+        violation_check(Index(4), [0.95] * 3, message_bits)
+    with pytest.raises(ArgumentError, match="message_bits"):
+        max_bias(Index(4), message_bits)
+
+
+def test_violation_and_max_bias_accept_numpy_integer_message_bits():
+    assert violation_check(Index(4), [0.95] * 3, np.int64(1)) == violation_check(Index(4), [0.95] * 3, 1)
+    assert max_bias(Index(4), np.int32(2)) == max_bias(Index(4), 2)
+
+
+@pytest.mark.parametrize("precision", [float("nan"), -1e-9, -math.inf])
+def test_max_bias_refuses_a_nan_or_negative_precision(precision):
+    # A NaN precision ended the bisection at once and returned 0.0.
+    with pytest.raises(ArgumentError, match="precision"):
+        max_bias(Index(4), 1, precision=precision)
+
+
 # --- bias thresholds -----------------------------------------------------------
 
 

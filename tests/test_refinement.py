@@ -181,6 +181,128 @@ def test_terms_invariant_under_flipping_outputs(case, channel):
     assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
 
 
+def reference_nodes(f, dist, perm):
+    """The branching nodes (0 < q < 1) of the refinement, one flat (mass, q)
+    entry per node grouped by step, and the step offsets into them: the
+    per-node layout the trace kept before it merged equal q."""
+    xs, wts = _support(f, dist)
+    masses, qs, offsets = [], [], [0]
+    for mass, q in reference_refine(f, xs, wts, perm):
+        branching = (q > 0.0) & (q < 1.0)
+        masses.append(mass[branching])
+        qs.append(q[branching])
+        offsets.append(offsets[-1] + int(branching.sum()))
+    offsets += [offsets[-1]] * (len(perm) + 1 - len(offsets))
+    return np.concatenate([[], *masses]), np.concatenate([[], *qs]), offsets
+
+
+def reference_node_terms(mass, q, offsets, channel):
+    """The step terms as the trace priced them before runs of equal q were
+    merged: phi over every branching node, then one dot product per step."""
+    phi = channel.phi(q)
+    return [
+        float(mass[a:b] @ phi[a:b]) if b > a else 0.0
+        for a, b in itertools.pairwise(offsets)
+    ]
+
+
+@st.composite
+def equal_q_tables(draw):
+    """Tables whose cells of one step often share q: 2**k inputs under
+    uniform weights, each column a parity or a conjunction of a few bits of
+    x (Index(k) when every column is one bit), or a constant."""
+    k = draw(st.integers(0, 7))
+    y_size = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = np.arange(1 << k)
+    columns = []
+    for _ in range(y_size):
+        bits = [(xs >> int(b)) & 1 for b in rng.integers(0, max(k, 1), int(rng.integers(1, 3)))]
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            columns.append(np.full(xs.size, int(rng.integers(0, 2))))
+        elif kind == 1:
+            columns.append(np.bitwise_and.reduce(bits))
+        else:
+            columns.append(np.bitwise_xor.reduce(bits))
+    table = np.stack(columns, axis=1)
+    if draw(st.booleans()):
+        # Repeat the rows: more inputs per cell, the same q.
+        table = np.repeat(table, int(rng.integers(2, 4)), axis=0)
+    dist = InputDistribution.uniform(table.shape[0])
+    return BooleanFunction(table.shape[0], y_size, table), dist, tuple(int(v) for v in rng.permutation(y_size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(equal_q_tables(), weighted_tables(), trie_tables()), EPS, EPS, EPS)
+def test_merged_trace_matches_the_per_node_terms(case, eps, eps_i, eps_ii):
+    f, dist, perm = case
+    trace = _RefinementTrace(f, dist, perm)
+    mass, q, offsets = reference_nodes(f, dist, perm)
+    assert trace.offsets == offsets
+    assert trace.q.size <= q.size
+    for channel in (Deterministic(), Symmetric(eps), Asymmetric(eps_i, eps_ii)):
+        got = trace.terms(channel)
+        want = reference_node_terms(mass, q, offsets, channel)
+        assert len(got) == f.y_size
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+        for t, a, b in zip(got, offsets, offsets[1:]):
+            if a == b:
+                assert math.copysign(1.0, t) == 1.0 and t == 0.0
+
+
+class CountingChannel:
+    """A channel that counts the q entries its phi is asked for."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.cells = 0
+
+    def phi(self, q):
+        self.cells += q.size
+        return self.inner.phi(q)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 14])
+def test_index_under_the_natural_ordering_prices_one_entry_per_step(n):
+    # Step i has 2**i branching nodes, all with q = 1/2 and mass 2**-i.
+    f = build_family(Index(n))
+    trace = _RefinementTrace(f, InputDistribution.uniform(f.x_size), tuple(range(n)))
+    assert trace.offsets == [(1 << i) - 1 for i in range(n + 1)]
+    assert trace.q.size == n
+    for inner in (Deterministic(), Symmetric(0.1), Asymmetric(0.05, 0.2)):
+        channel = CountingChannel(inner)
+        terms = trace.terms(channel)
+        assert channel.cells == n
+        assert terms == [float(inner.phi(np.array([0.5]))[0])] * n
+
+
+def test_weighted_nodes_do_not_merge():
+    # Distinct weights give every node its own q: one entry per node.
+    f = build_family(Index(6))
+    dist = InputDistribution(np.arange(1, 65) ** 0.5)
+    trace = _RefinementTrace(f, dist, tuple(range(6)))
+    assert trace.q.size == trace.offsets[-1] == 63
+
+
+def test_empty_steps_are_positive_zero():
+    # Equality(4) under a reversed ordering, duplicate rows and a single
+    # input: steps with no branching node are +0.0 under every channel.
+    cases = [
+        (build_family(Equality(4)), tuple(range(16))[::-1]),
+        (BooleanFunction(4, 3, [0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1]), (0, 1, 2)),
+        (BooleanFunction(1, 65, [1] * 65), tuple(range(65))),
+    ]
+    for f, perm in cases:
+        trace = _RefinementTrace(f, InputDistribution.uniform(f.x_size), perm)
+        empty = [a == b for a, b in itertools.pairwise(trace.offsets)]
+        assert any(empty)
+        for channel in (Deterministic(), Symmetric(0.3), Asymmetric(0.2, 0.4)):
+            terms = trace.terms(channel)
+            assert all(type(t) is float for t in terms)
+            assert all(math.copysign(1.0, t) == 1.0 and t == 0.0 for t, e in zip(terms, empty) if e)
+
+
 @pytest.mark.parametrize("family", [Index(12), Equality(8), KIntersect(8, 2)])
 def test_trace_terms_match_the_reference_on_families(family):
     f = build_family(family)
