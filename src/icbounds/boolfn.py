@@ -68,6 +68,17 @@ def index_to_bits(index: int, n: int) -> tuple:
     return tuple((index >> (n - 1 - i)) & 1 for i in range(n))
 
 
+def _integer_entries(values, name: str, kind: str, error=ArgumentError) -> tuple:
+    """The entries of ``values`` as Python ints.  numpy integers pass; a
+    float such as 1.9 is refused rather than truncated, and so is a bool,
+    although bools are ints."""
+    values = tuple(values)
+    for i, v in enumerate(values):
+        if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+            raise error(f"{name} entry {i} is {v!r}, not an integer {kind}")
+    return tuple(int(v) for v in values)
+
+
 class BooleanFunction:
     """Immutable truth table of a total function f: X x Y -> {0,1}."""
 
@@ -410,7 +421,7 @@ def apply_x_substitution(f: BooleanFunction, sigma) -> BooleanFunction:
 
     ``sigma`` is a sequence of length x_size; it need not be invertible.
     """
-    sig = np.asarray(list(sigma), dtype=np.int64)
+    sig = np.asarray(_integer_entries(sigma, "sigma", "x index"), dtype=np.int64)
     if sig.shape != (f.x_size,):
         raise ArgumentError(f"sigma must have length {f.x_size}, got {sig.size}")
     if sig.size and (sig.min() < 0 or sig.max() >= f.x_size):

@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .boolfn import BooleanFunction, apply_x_substitution
+from .boolfn import BooleanFunction, _integer_entries, apply_x_substitution
 from .errors import CensusMismatchError, HierarchyViolationError, UnsupportedSizeError
 
 #: The classification is defined for X = Y = {0,1}^2 only.
@@ -130,7 +130,7 @@ def signature(f: BooleanFunction) -> ClassSignature:
 def per_ordering_signature(f: BooleanFunction, perm) -> tuple:
     """Step sequence for an explicit ordering of Y (inspection helper)."""
     _check_size(f)
-    perm = tuple(int(v) for v in perm)
+    perm = _integer_entries(perm, "ordering", "y index", UnsupportedSizeError)
     if sorted(perm) != list(range(4)):
         raise UnsupportedSizeError(f"not a permutation of 0..3: {perm!r}")
     masks = _column_masks(f)

@@ -49,7 +49,14 @@ from .icbound import (
     oracle_check,
 )
 from .infocalc import TOLERANCE
-from .prbox import _violation_report, decompose, max_bias, success_probability
+from .prbox import (
+    _check_bias,
+    _check_message_bits,
+    _violation_report,
+    decompose,
+    max_bias,
+    success_probability,
+)
 
 _FAMILIES = {
     "index": Index,
@@ -314,7 +321,10 @@ def _handle_prbox_decompose(args) -> int:
 
 
 def _expand_biases(biases, count: int):
-    if len(biases) == 1 and count > 1:
+    """One bias broadcasts to every box, also to none; it is checked first,
+    since no box may be left to check it."""
+    if len(biases) == 1 and count != 1:
+        _check_bias(biases[0])
         return biases * count
     return biases
 
@@ -346,6 +356,8 @@ def _handle_prbox_bias(args) -> int:
 
 def _handle_prbox_violation(args) -> int:
     family = _family_from_args(args)
+    # Refuse a bad --m before building the table.
+    _check_message_bits(args.m)
     f = build_family(family)
     decomposition = decompose(f)
     biases = _expand_biases(_parse_biases(args.bias), decomposition.box_count)

@@ -25,16 +25,19 @@ histories prune.
 The cells after step i are the nodes at depth i of the binary trie of the
 rows f(x, .) read in the ordering, and only the branching nodes (0 < q < 1)
 contribute.  ``_RefinementTrace`` finds all of them from one sort of the
-rows: each adjacent pair of sorted rows that differ is one branching node,
-at the depth of their longest common prefix, and its cell reaches to the
-nearest pairs on either side with a shorter common prefix.  Nodes of one
-step that are adjacent in the sort and have the same q are merged into one
-entry holding their summed mass, since they share one phi value (Index(n)
-keeps one entry per step).  The trace does not depend on the channel; only
-phi does.  ``compute_bound`` prices one trace, and pricing one table under
-many channels -- the bisection over the error rate in ``prbox.max_bias`` --
-evaluates phi again over the same merged entries and sums every step's
-term in one pass.
+rows, kept in the table's packed layout (``BooleanFunction.packed_rows``:
+MSB first, zero-padded to a whole byte), so that sorting them as byte
+strings sorts them lexicographically; under the identity ordering with every
+input active the sort reads the stored table, with no copy.  Each adjacent
+pair of sorted rows that differ is one branching node, at the depth of their
+longest common prefix, and its cell reaches to the nearest pairs on either
+side with a shorter common prefix.  Nodes of one step that are adjacent in
+the sort and have the same q are merged into one entry holding their summed
+mass, since they share one phi value (Index(n) keeps one entry per step).
+The trace does not depend on the channel; only phi does.  ``compute_bound``
+prices one trace, and pricing one table under many channels -- the
+bisection over the error rate in ``prbox.max_bias`` -- evaluates phi again
+over the same merged entries and sums every step's term in one pass.
 The ordering searches refine one column at a time with the cell-splitting
 step ``_split`` and price every candidate column of a partition at once
 (``_price``); exhaustive search is a dynamic program over the subsets of Y,
@@ -67,6 +70,7 @@ from .boolfn import (
     InnerProduct,
     InputDistribution,
     KIntersect,
+    _integer_entries,
 )
 from .errors import ArgumentError, ExhaustiveSearchRefusal
 from .infocalc import (
@@ -175,12 +179,7 @@ class Ordering:
     strategy: str = "custom"
 
     def __post_init__(self):
-        perm = tuple(self.perm)
-        for i, v in enumerate(perm):
-            # bools are ints, and a float such as 1.9 must not be truncated.
-            if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
-                raise ArgumentError(f"ordering entry {i} is {v!r}, not an integer y index")
-        perm = tuple(int(v) for v in perm)
+        perm = _integer_entries(self.perm, "ordering", "y index")
         if sorted(perm) != list(range(len(perm))):
             raise ArgumentError(f"not a permutation of 0..{len(perm) - 1}: {perm!r}")
         object.__setattr__(self, "perm", perm)
@@ -237,50 +236,42 @@ def _split(labels: np.ndarray, col: np.ndarray, ncells: int):
     return (np.cumsum(nonzero) - 1)[key], counts[nonzero]
 
 
-def _row_words(f: BooleanFunction, xs, perm: np.ndarray) -> np.ndarray:
-    """The active rows with their columns in ``perm`` order, packed MSB-first
-    into uint64 words (zero padding after the last column): comparing two
-    rows as word tuples compares them lexicographically.  Under the identity
-    ordering the stored packed rows are copied as they are; any other
-    ordering unpacks a block of rows at a time, reorders its columns and
-    packs it again."""
-    nbytes = -(-perm.size // 8)
-    buf = np.zeros((f.x_size if xs is None else xs.size, -(-nbytes // 8) * 8), dtype=np.uint8)
+def _packed_rows(f: BooleanFunction, xs, perm: np.ndarray) -> np.ndarray:
+    """The active rows with their columns in ``perm`` order, in the layout of
+    ``BooleanFunction.packed_rows`` (MSB first, zero padding after the last
+    column): comparing two rows as byte strings compares them
+    lexicographically.  Under the identity ordering these are the stored
+    rows, not copied when every input is active; any other ordering unpacks
+    a block of rows at a time, reorders its columns and packs it again."""
     if np.array_equal(perm, np.arange(perm.size)):
         rows = f.packed_rows()
-        buf[:, :nbytes] = rows if xs is None else rows[xs]
-    else:
-        start = 0
-        for block in f.row_blocks(xs, perm):
-            buf[start : start + block.shape[0], :nbytes] = np.packbits(block, axis=1)
-            start += block.shape[0]
-    words = buf.view(">u8")
-    if not words.dtype.isnative:
-        words = words.byteswap(inplace=True).view(np.uint64)
-    return words
-
-
-def _bit_length(v: np.ndarray) -> np.ndarray:
-    """Bit length of every uint64 (0 for 0), exactly: each half converts to
-    float without rounding, and frexp's exponent is the bit length."""
-    high = np.frexp((v >> np.uint64(32)).astype(np.float64))[1]
-    low = np.frexp((v & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
-    return np.where(high > 0, high + 32, low)
+        return rows if xs is None else rows[xs]
+    rows = np.empty((f.x_size if xs is None else xs.size, -(-perm.size // 8)), dtype=np.uint8)
+    start = 0
+    for block in f.row_blocks(xs, perm):
+        rows[start : start + block.shape[0]] = np.packbits(block, axis=1)
+        start += block.shape[0]
+    return rows
 
 
 def _common_prefixes(rows: np.ndarray, order: np.ndarray, y_size: int) -> np.ndarray:
-    """The longest common prefix, in bits, of every pair of rows (packed
-    words) adjacent in ``order``; ``y_size`` for equal rows.  Int32, one per
-    pair.  The rows are gathered a slice at a time, never all reordered."""
-    nwords = rows.shape[1]
+    """The longest common prefix, in bits, of every pair of packed rows
+    adjacent in ``order``; ``y_size`` for equal rows.  Int32, one per pair.
+    The rows are gathered a slice of about 2**19 bytes at a time, never all
+    reordered."""
     lcp = np.empty(max(order.size - 1, 0), dtype=np.int32)
-    step = max(1, (1 << 16) // nwords)
+    step = max(1, (1 << 19) // rows.shape[1])
     for a in range(0, lcp.size, step):
-        diff = rows[order[1:][a : a + step]] ^ rows[order[:-1][a : a + step]]
-        # The first differing word (word 0 when the rows are equal).
-        word = (diff != 0).argmax(axis=1)
-        first = np.take_along_axis(diff, word[:, None], axis=1)[:, 0]
-        lcp[a : a + step] = np.where(first != 0, 64 * word + 64 - _bit_length(first), y_size)
+        # np.take gathers rows of a few bytes much faster than fancy indexing.
+        diff = np.take(rows, order[1:][a : a + step], axis=0)
+        diff ^= np.take(rows, order[:-1][a : a + step], axis=0)
+        # The first differing byte (byte 0 when the rows are equal).
+        byte = (diff != 0).argmax(axis=1)
+        first = np.take_along_axis(diff, byte[:, None], axis=1)[:, 0]
+        # frexp's exponent of a byte is its bit length; float32 holds every
+        # byte exactly, and frexp on it is much faster than on float16.
+        bits = np.frexp(first.astype(np.float32))[1]
+        lcp[a : a + step] = np.where(first != 0, 8 * byte + 8 - bits, y_size)
     return lcp
 
 
@@ -319,11 +310,14 @@ class _RefinementTrace:
     The cells after step i are the sets of active inputs whose rows, read in
     the order ``perm``, share their first i entries: the nodes at depth i of
     the binary trie of the rows.  Only a node with both children (0 < q < 1)
-    contributes to a term.  So the rows are sorted once; every adjacent pair
-    of sorted rows that differ is exactly one branching node, at the depth of
-    their longest common prefix d, and its cell runs between the nearest pairs
-    on either side whose common prefix is shorter than d.  Cell masses and
-    ones masses are differences of one prefix sum of the sorted weights.
+    contributes to a term.  So the rows are sorted once, as byte strings of
+    the packed layout (``_packed_rows``), and the longest common prefix of
+    each adjacent pair is read off its first differing byte.  Every adjacent
+    pair of sorted rows that differ is exactly one branching node, at the
+    depth of their longest common prefix d, and its cell runs between the
+    nearest pairs on either side whose common prefix is shorter than d.
+    Cell masses and ones masses are differences of one prefix sum of the
+    sorted weights.
 
     The nodes are grouped by step, in the lexicographic order of their
     prefixes within a step, and each run of adjacent nodes of one step with
@@ -338,9 +332,9 @@ class _RefinementTrace:
     def __init__(self, f: BooleanFunction, dist: InputDistribution, perm):
         xs, wts = _support(f, dist)
         y_size = len(perm)
-        rows = _row_words(f, xs, np.asarray(perm, dtype=np.int64))
-        # lexsort's last key is its primary one.
-        order = np.lexsort(rows.T[::-1])
+        rows = _packed_rows(f, xs, np.asarray(perm, dtype=np.int64))
+        # Sorting the rows as byte strings sorts them lexicographically.
+        order = np.argsort(rows.view(f"S{rows.shape[1]}")[:, 0], kind="stable")
         lcp = _common_prefixes(rows, order, y_size)
         del rows
         cum = np.zeros(order.size + 1)
@@ -409,7 +403,7 @@ def compute_bound(
     """Evaluate the information lower bound by partition refinement.
 
     Reads each active row once and sorts the rows once: O(|X| * |Y|) bit
-    work plus O(|X| log |X|) word comparisons, and one phi evaluation per
+    work plus O(|X| log |X|) row comparisons, and one phi evaluation per
     run of adjacent branching nodes of the row trie with equal q (at most
     |X| - 1 of them); suitable up to |X| = |Y| = 2**14.
     """

@@ -218,6 +218,12 @@ def box_count(f: BooleanFunction) -> int:
     return decompose(f).box_count
 
 
+def _check_bias(e: float) -> None:
+    # NaN fails the comparison too.
+    if not -1.0 <= e <= 1.0:
+        raise ArgumentError(f"bias must lie in [-1, 1], got {e!r}")
+
+
 def _validated_biases(decomposition: VanDamDecomposition, biases) -> list:
     bs = [float(e) for e in biases]
     if len(bs) != decomposition.box_count:
@@ -225,8 +231,7 @@ def _validated_biases(decomposition: VanDamDecomposition, biases) -> list:
             f"expected {decomposition.box_count} biases (one per box), got {len(bs)}"
         )
     for e in bs:
-        if not -1.0 <= e <= 1.0:
-            raise ArgumentError(f"bias must lie in [-1, 1], got {e!r}")
+        _check_bias(e)
     return bs
 
 
@@ -285,8 +290,8 @@ def _violation_report(
     biases,
     message_bits: int,
 ) -> ViolationReport:
-    """``violation_check`` for a family whose table and decomposition are built."""
-    _check_message_bits(message_bits)
+    """``violation_check`` for a family whose table and decomposition are
+    built; the caller has checked ``message_bits``."""
     p = success_probability(decomposition, biases)
     eps = 1.0 - p
     if eps >= 0.5:

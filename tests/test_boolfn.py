@@ -308,6 +308,23 @@ def test_apply_x_substitution_range_error():
         apply_x_substitution(f, [0, 1, 2])
 
 
+@pytest.mark.parametrize(
+    "sigma, entry",
+    [([0, 1.9, 2, 3], 1), ([1.0, 0, 2, 3], 0), ([True, 0, 2, 3], 0), ([0, 1, np.False_, 3], 2),
+     (["0", 1, 2, 3], 0), ([0, 1, 2, None], 3)],
+)
+def test_apply_x_substitution_refuses_entries_that_are_not_integers(sigma, entry):
+    # A float is not truncated into an index and a boolean is not an int.
+    with pytest.raises(ArgumentError, match=f"sigma entry {entry} "):
+        apply_x_substitution(build_family(InnerProduct(2)), sigma)
+
+
+def test_apply_x_substitution_accepts_numpy_integers():
+    f = build_family(InnerProduct(2))
+    for sigma in (np.array([3, 2, 1, 0]), np.array([3, 2, 1, 0], dtype=np.uint8), [np.int64(3), 2, 1, 0]):
+        assert apply_x_substitution(f, sigma) == apply_x_substitution(f, [3, 2, 1, 0])
+
+
 def test_distribution_normalization():
     d = InputDistribution([2.0, 2.0])
     assert d.weights.tolist() == [0.5, 0.5]

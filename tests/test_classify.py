@@ -97,6 +97,24 @@ def test_wrong_size_is_rejected():
         per_ordering_signature(build_family(InnerProduct(2)), (0, 1, 1, 3))
 
 
+@pytest.mark.parametrize(
+    "perm, entry",
+    [((0, 1.9, 2, 3), 1), ((1.0, 0, 2, 3), 0), ((True, 0, 2, 3), 0), ((0, 1, np.False_, 3), 2),
+     (("0", 1, 2, 3), 0), ((0, 1, 2, None), 3)],
+)
+def test_per_ordering_signature_refuses_entries_that_are_not_integers(perm, entry):
+    # A float is not truncated into an index and a boolean is not an int.
+    with pytest.raises(UnsupportedSizeError, match=f"ordering entry {entry} "):
+        per_ordering_signature(CLASS_REPRESENTATIVES["V"], perm)
+
+
+def test_per_ordering_signature_accepts_numpy_integers():
+    five = CLASS_REPRESENTATIVES["V"]
+    want = per_ordering_signature(five, (1, 0, 3, 2))
+    assert per_ordering_signature(five, np.array([1, 0, 3, 2])) == want
+    assert per_ordering_signature(five, np.array([1, 0, 3, 2], dtype=np.uint8)) == want
+
+
 def test_affine_x_maps_are_24_invertible_substitutions():
     maps = affine_x_maps()
     assert len(maps) == 24

@@ -361,6 +361,48 @@ def test_prbox_violation_decomposes_once(capsys, monkeypatch):
     assert json.loads(out)["bound_total"] == round(report.bound_total, 9)
 
 
+@pytest.mark.parametrize("m", ["0", "-3"])
+def test_prbox_violation_refuses_bad_m_before_building_the_table(capsys, monkeypatch, m):
+    def refuse(family):
+        raise AssertionError(f"built {family!r} before checking --m")
+
+    monkeypatch.setattr(cli, "build_family", refuse)
+    code, out, err = run_cli(
+        capsys, "prbox", "violation", "--family", "kint", "--n", "14", "--k", "7",
+        "--bias", "0.9", "--m", m,
+    )
+    assert code == 2
+    assert out == ""
+    assert f"message_bits must be an integer >= 1, got {m}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("prbox", "violation", "--family", "eq", "--n", "1", "--bias", "1", "--m", "1"),
+        ("prbox", "bias", "--family", "index", "--n", "1", "--bias", "0.9"),
+    ],
+)
+def test_one_bias_broadcasts_to_a_protocol_without_boxes(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["biases"] == []
+    assert payload["success_probability"] == 1.0
+
+
+@pytest.mark.parametrize("command", ["bias", "violation"])
+@pytest.mark.parametrize("bias", ["nan", "1.5", "-2"])
+def test_one_bias_is_checked_even_without_boxes(capsys, command, bias):
+    extra = ("--m", "1") if command == "violation" else ()
+    code, out, err = run_cli(
+        capsys, "prbox", command, "--family", "index", "--n", "1", "--bias", bias, *extra
+    )
+    assert code == 2
+    assert out == ""
+    assert "bias must lie in [-1, 1]" in err
+
+
 JSON_SCALARS = st.one_of(
     st.integers(-2, 6),
     st.integers(),

@@ -25,9 +25,9 @@ from icbounds import (
 )
 from icbounds.icbound import (
     _common_prefixes,
+    _packed_rows,
     _previous_smaller,
     _RefinementTrace,
-    _row_words,
     _split,
     _support,
 )
@@ -337,17 +337,18 @@ def test_weights_below_the_rounding_of_the_prefix_sums_give_finite_terms():
 
 @pytest.mark.parametrize("y_size", [1, 63, 64, 65, 130])
 def test_common_prefixes_on_word_boundaries(y_size):
-    # Every bit from depth d on differs, so the rows' first differing word is
-    # all ones below its leading bit: the case a float bit length rounds up.
+    # Every bit from depth d on differs, so the rows' first differing byte is
+    # all ones below its leading bit; depths 7 to 16 sit on byte boundaries.
     rng = np.random.default_rng(y_size)
-    for d in sorted({0, 31, 32, 52, 53, 54, 63, 64, 65, 127, 128, 129} & set(range(y_size))):
+    depths = {0, 7, 8, 9, 15, 16, 31, 32, 52, 53, 54, 63, 64, 65, 127, 128, 129}
+    for d in sorted(depths & set(range(y_size))):
         a = rng.integers(0, 2, y_size, dtype=np.uint8)
         b = a.copy()
         b[d:] ^= 1
         f = BooleanFunction(2, y_size, np.concatenate([a, b]))
-        assert _common_prefixes(_row_words(f, None, np.arange(y_size)), np.arange(2), y_size).tolist() == [d]
+        assert _common_prefixes(_packed_rows(f, None, np.arange(y_size)), np.arange(2), y_size).tolist() == [d]
     same = BooleanFunction(2, y_size, np.ones(2 * y_size, dtype=np.uint8))
-    assert _common_prefixes(_row_words(same, None, np.arange(y_size)), np.arange(2), y_size).tolist() == [y_size]
+    assert _common_prefixes(_packed_rows(same, None, np.arange(y_size)), np.arange(2), y_size).tolist() == [y_size]
 
 
 def test_previous_smaller_matches_a_stack_scan():

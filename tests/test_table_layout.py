@@ -21,7 +21,7 @@ from icbounds import (
     save_truth_table,
 )
 from icbounds import boolfn
-from icbounds.icbound import _row_words
+from icbounds.icbound import _packed_rows
 
 # --- the families' definitions, entry by entry, on bit vectors --------------
 
@@ -114,35 +114,57 @@ def test_padding_bits_are_zero_and_the_rows_read_only(f):
     assert f.bit(0, 0) != table[0, 0]
 
 
-def reference_words(table: np.ndarray) -> np.ndarray:
-    packed = np.packbits(table, axis=1)
-    buf = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    buf[:, : packed.shape[1]] = packed
-    return buf.view(">u8").astype(np.uint64)
-
-
 @pytest.mark.parametrize("x_size, y_size", [(1, 1), (6, 7), (9, 8), (33, 64), (17, 65), (40, 130)])
-def test_row_words_under_the_identity_ordering(x_size, y_size):
+def test_packed_rows_under_the_identity_ordering(x_size, y_size):
     rng = np.random.default_rng(x_size * 1000 + y_size)
     table = rng.integers(0, 2, (x_size, y_size), dtype=np.uint8)
     f = BooleanFunction(x_size, y_size, table)
     identity = np.arange(y_size)
-    got = _row_words(f, None, identity)
-    assert got.dtype == np.uint64
-    assert np.array_equal(got, reference_words(table))
+    got = _packed_rows(f, None, identity)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, np.packbits(table, axis=1))
+    # Every input active: the stored rows themselves, not a copy.
+    assert np.shares_memory(got, f.packed_rows())
     # Zero weights: only the rows of the active inputs, in their order.
     for xs in (np.flatnonzero(rng.random(x_size) < 0.5), np.array([x_size - 1]), np.array([], dtype=np.int64)):
-        assert np.array_equal(_row_words(f, xs, identity), reference_words(table[xs]))
+        assert np.array_equal(_packed_rows(f, xs, identity), np.packbits(table[xs][:, identity], axis=1))
 
 
-def test_row_words_under_a_permuted_ordering():
+def test_packed_rows_under_a_permuted_ordering():
     rng = np.random.default_rng(8)
     table = rng.integers(0, 2, (300, 70), dtype=np.uint8)
     f = BooleanFunction(300, 70, table)
     perm = rng.permutation(70)
     xs = np.flatnonzero(rng.random(300) < 0.7)
-    assert np.array_equal(_row_words(f, None, perm), reference_words(table[:, perm]))
-    assert np.array_equal(_row_words(f, xs, perm), reference_words(table[xs][:, perm]))
+    assert np.array_equal(_packed_rows(f, None, perm), np.packbits(table[:, perm], axis=1))
+    assert np.array_equal(_packed_rows(f, xs, perm), np.packbits(table[xs][:, perm], axis=1))
+
+
+@st.composite
+def tables_with_repeats(draw):
+    """A table and an ordering; the rows read in that ordering repeat and
+    carry all-zero bytes."""
+    y_size = draw(st.one_of(st.integers(1, 17), st.integers(63, 65)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    read = rng.integers(0, 2, (draw(st.integers(1, 6)), y_size), dtype=np.uint8)
+    # Clear about half of the byte-aligned runs of eight columns.
+    read[:, np.repeat(rng.random(-(-y_size // 8)) < 0.5, 8)[:y_size]] = 0
+    read = read[rng.integers(0, read.shape[0], draw(st.integers(1, 40)))]
+    perm = rng.permutation(y_size)
+    table = np.empty_like(read)
+    table[:, perm] = read
+    return table, perm
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables_with_repeats())
+def test_byte_string_sort_is_the_lexicographic_order(case):
+    table, perm = case
+    f = BooleanFunction(*table.shape, table)
+    rows = _packed_rows(f, None, perm)
+    order = np.argsort(rows.view(f"S{rows.shape[1]}")[:, 0], kind="stable")
+    # lexsort's last key is its primary one.
+    assert np.array_equal(order, np.lexsort(table[:, perm].T[::-1]))
 
 
 def test_build_family_memory_stays_near_the_table():
