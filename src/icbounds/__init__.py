@@ -9,6 +9,7 @@ forms (``icbound``), the eight-class census for two-bit inputs
 
 from .boolfn import (
     BIT_ORDER,
+    FAMILIES,
     BooleanFunction,
     Disjointness,
     Equality,

@@ -17,6 +17,12 @@ row is one contiguous byte range, and tables up to |X| = |Y| = 2**14 take
 32 MiB.  ``BooleanFunction.packed_rows`` returns it.  The file format below
 and ``BooleanFunction.bits`` stay flat: position x * y_size + y, no padding.
 
+Built-in families
+-----------------
+The five families in ``FAMILIES`` share one frozen dataclass base whose
+fields are integer parameters; each family states in class variables what
+``icbounds families`` prints, and ``build_family`` materializes its table.
+
 File formats
 ------------
 Truth table:   {"x_size": int, "y_size": int, "bits": "0101..."} (JSON),
@@ -28,8 +34,8 @@ Distribution:  JSON array of x_size non-negative weights; the loader
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import ClassVar, Union
+from dataclasses import asdict, dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -68,13 +74,17 @@ def index_to_bits(index: int, n: int) -> tuple:
     return tuple((index >> (n - 1 - i)) & 1 for i in range(n))
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers: not for a float such as 1.9, to
+    be refused rather than truncated, nor for a bool, although bools are ints."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
+
+
 def _integer_entries(values, name: str, kind: str, error=ArgumentError) -> tuple:
-    """The entries of ``values`` as Python ints.  numpy integers pass; a
-    float such as 1.9 is refused rather than truncated, and so is a bool,
-    although bools are ints."""
+    """The entries of ``values`` as Python ints; any other entry raises ``error``."""
     values = tuple(values)
     for i, v in enumerate(values):
-        if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+        if not _is_integer(v):
             raise error(f"{name} entry {i} is {v!r}, not an integer {kind}")
     return tuple(int(v) for v in values)
 
@@ -202,19 +212,54 @@ class BooleanFunction:
 
 
 @dataclass(frozen=True)
-class Index:
-    """f(x, y) = x_y: bit y of Alice's n-bit string, for y in {0, ..., n-1}."""
+class _Family:
+    """A built-in family.  Every dataclass field is an integer parameter,
+    stored as a Python int: numpy integers pass, while bools, floats and
+    n < 1 raise ``FamilyParameterError``.  Each family states its name,
+    definition, parameter range, sizes and standard ordering (an ``icbound``
+    strategy that reads only |Y|, and k) in class variables, and builds a
+    chunk of its packed rows in ``_rows``."""
 
     n: int
-    name: ClassVar[str] = "index"
+    name: ClassVar[str]
+    definition: ClassVar[str]
+    parameter_range: ClassVar[str] = "n >= 1"
+    sizes: ClassVar[str] = "x_size = y_size = 2^n"
+    ordering: ClassVar[str]
 
     def __post_init__(self):
+        params = fields(self)
+        for field in params:
+            value = getattr(self, field.name)
+            if not _is_integer(value):
+                raise FamilyParameterError(
+                    f"{self.name} requires an integer {field.name}, got {value!r}"
+                )
+            object.__setattr__(self, field.name, int(value))
         if self.n < 1:
-            raise FamilyParameterError(f"index requires n >= 1, got {self.n}")
+            got = self.n if len(params) == 1 else f"n={self.n}"
+            raise FamilyParameterError(f"{self.name} requires n >= 1, got {got}")
 
     @property
     def x_size(self) -> int:
         return 1 << self.n
+
+    @property
+    def y_size(self) -> int:
+        return 1 << self.n
+
+    def describe(self) -> dict:
+        return {"family": self.name, **asdict(self)}
+
+
+@dataclass(frozen=True)
+class Index(_Family):
+    """f(x, y) = x_y: bit y of Alice's n-bit string, for y in {0, ..., n-1}."""
+
+    name: ClassVar[str] = "index"
+    definition: ClassVar[str] = "f(x, y) = x_y"
+    sizes: ClassVar[str] = "x_size = 2^n, y_size = n"
+    ordering: ClassVar[str] = "natural"
 
     @property
     def y_size(self) -> int:
@@ -228,122 +273,70 @@ class Index:
         shifted = xs.astype(np.uint32) << (8 * nbytes - self.n)
         return shifted.astype(">u4").view(np.uint8).reshape(-1, 4)[:, 4 - nbytes :]
 
-    def describe(self) -> dict:
-        return {"family": self.name, "n": self.n}
-
 
 @dataclass(frozen=True)
-class InnerProduct:
+class InnerProduct(_Family):
     """f(x, y) = XOR_i x_i * y_i on n-bit strings."""
 
-    n: int
     name: ClassVar[str] = "ip"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise FamilyParameterError(f"ip requires n >= 1, got {self.n}")
-
-    @property
-    def x_size(self) -> int:
-        return 1 << self.n
-
-    @property
-    def y_size(self) -> int:
-        return 1 << self.n
+    definition: ClassVar[str] = "XOR_i x_i y_i"
+    ordering: ClassVar[str] = "unit-first"
 
     def _rows(self, xs: np.ndarray) -> np.ndarray:
         return np.packbits(np.bitwise_count(_meets(xs, self.y_size)) & 1, axis=1)
 
-    def describe(self) -> dict:
-        return {"family": self.name, "n": self.n}
-
 
 @dataclass(frozen=True)
-class Disjointness:
+class Disjointness(_Family):
     """f(x, y) = 1 when no position has x_i = y_i = 1, else 0."""
 
-    n: int
     name: ClassVar[str] = "disj"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise FamilyParameterError(f"disj requires n >= 1, got {self.n}")
-
-    @property
-    def x_size(self) -> int:
-        return 1 << self.n
-
-    @property
-    def y_size(self) -> int:
-        return 1 << self.n
+    definition: ClassVar[str] = "[no common 1-position]"
+    ordering: ClassVar[str] = "unit-first"
 
     def _rows(self, xs: np.ndarray) -> np.ndarray:
         return np.packbits(_meets(xs, self.y_size) == 0, axis=1)
 
-    def describe(self) -> dict:
-        return {"family": self.name, "n": self.n}
-
 
 @dataclass(frozen=True)
-class Equality:
+class Equality(_Family):
     """f(x, y) = 1 exactly when x = y, on {0, ..., 2**n - 1}."""
 
-    n: int
     name: ClassVar[str] = "eq"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise FamilyParameterError(f"eq requires n >= 1, got {self.n}")
-
-    @property
-    def x_size(self) -> int:
-        return 1 << self.n
-
-    @property
-    def y_size(self) -> int:
-        return 1 << self.n
+    definition: ClassVar[str] = "[x = y]"
+    ordering: ClassVar[str] = "natural"
 
     def _rows(self, xs: np.ndarray) -> np.ndarray:
         rows = np.zeros((xs.size, -(-self.y_size // 8)), dtype=np.uint8)
         rows[np.arange(xs.size), xs >> 3] = 0x80 >> (xs & 7)
         return rows
 
-    def describe(self) -> dict:
-        return {"family": self.name, "n": self.n}
-
 
 @dataclass(frozen=True)
-class KIntersect:
+class KIntersect(_Family):
     """f(x, y) = 1 when x and y share at least k common 1-positions."""
 
-    n: int
     k: int
     name: ClassVar[str] = "kint"
+    definition: ClassVar[str] = "[at least k common 1s]"
+    parameter_range: ClassVar[str] = "n >= 1, 1 <= k <= n/2"
+    ordering: ClassVar[str] = "kint-proof"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise FamilyParameterError(f"kint requires n >= 1, got n={self.n}")
+        super().__post_init__()
         if not 1 <= self.k <= self.n // 2:
             raise FamilyParameterError(
                 f"kint requires 1 <= k <= floor(n/2) = {self.n // 2}, got k={self.k}"
             )
 
-    @property
-    def x_size(self) -> int:
-        return 1 << self.n
-
-    @property
-    def y_size(self) -> int:
-        return 1 << self.n
-
     def _rows(self, xs: np.ndarray) -> np.ndarray:
         return np.packbits(np.bitwise_count(_meets(xs, self.y_size)) >= self.k, axis=1)
 
-    def describe(self) -> dict:
-        return {"family": self.name, "n": self.n, "k": self.k}
 
+#: The built-in families, in the order ``icbounds families`` lists them.
+FAMILIES = (Index, InnerProduct, Disjointness, Equality, KIntersect)
 
-FunctionFamily = Union[Index, InnerProduct, Disjointness, Equality, KIntersect]
+FunctionFamily = _Family
 
 
 def _meets(xs: np.ndarray, y_size: int) -> np.ndarray:
@@ -355,11 +348,19 @@ def build_family(family: FunctionFamily) -> BooleanFunction:
     """Materialize the truth table of a built-in family.
 
     A table of more than ``MAX_TABLE_BITS`` bits is refused before anything
-    is allocated.  Otherwise the packed matrix is allocated once and each
-    family fills it with ready packed rows, about ``_BUILD_CHUNK_BITS``
-    entries at a time, so no temporary grows with the table.  The inputs
-    are the narrowest unsigned integers that hold both |X| - 1 and |Y| - 1.
+    is allocated, and an n above 64 from n alone: every family has 2**n
+    rows, and for such an n the sizes are not even formed, since 1 << n can
+    exhaust memory and the bit count can be too long to print.  Otherwise
+    the packed matrix is allocated once and each family fills it with ready
+    packed rows, about ``_BUILD_CHUNK_BITS`` entries at a time, so no
+    temporary grows with the table.  The inputs are the narrowest unsigned
+    integers that hold both |X| - 1 and |Y| - 1.
     """
+    if family.n > 64:
+        raise TableSizeRefusal(
+            f"{family.name} table for n = {family.n} has 2**n rows, beyond the limit of "
+            f"{MAX_TABLE_BITS} bits (2**28)"
+        )
     x_size, y_size = family.x_size, family.y_size
     if x_size * y_size > MAX_TABLE_BITS:
         raise TableSizeRefusal(

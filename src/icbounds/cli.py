@@ -7,28 +7,24 @@ mismatch), 1 oracle-check deviation beyond tolerance.  Text and CSV numbers
 carry nine decimal places and JSON numbers are ``round(x, 9)``;
 configuration comes from flags only, so invocations are reproducible from
 regression logs.  ``--threads`` is accepted and has no effect.
+
+``--family`` takes one flag per parameter of the family's class, and
+``families`` prints what the classes in ``boolfn.FAMILIES`` declare.  Every
+report is written by ``_emit``, from one JSON payload, CSV rows and text
+lines; only ``prbox decompose`` streams its coefficients as they are made.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
+import dataclasses
 import itertools
 import json
 import sys
 from pathlib import Path
 
-from .boolfn import (
-    Disjointness,
-    Equality,
-    Index,
-    InnerProduct,
-    InputDistribution,
-    KIntersect,
-    build_family,
-    load_truth_table,
-)
+from .boolfn import FAMILIES, InputDistribution, build_family, load_truth_table
 from .classify import census_table, hierarchy_check
 from .errors import (
     ArgumentError,
@@ -58,13 +54,7 @@ from .prbox import (
     success_probability,
 )
 
-_FAMILIES = {
-    "index": Index,
-    "ip": InnerProduct,
-    "disj": Disjointness,
-    "eq": Equality,
-    "kint": KIntersect,
-}
+_FAMILIES = {cls.name: cls for cls in FAMILIES}
 
 
 def _fmt(value: float) -> str:
@@ -103,15 +93,15 @@ def _emit_json_items(head: dict, key: str, items) -> None:
     sys.stdout.write("]\n}\n" if sep == newline else "\n  ]\n}\n")
 
 
-def _emit_csv(rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
-
-
-def _emit_text(lines) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
+def _emit(fmt: str, payload: dict, rows, lines) -> None:
+    """Write one report: ``payload`` as JSON, ``rows`` as CSV records, or
+    ``lines`` as text."""
+    if fmt == "json":
+        _emit_json(payload)
+    elif fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+    else:
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +110,13 @@ def _emit_text(lines) -> None:
 
 
 def _family_from_args(args):
+    """The family named by --family, with one flag per parameter."""
     cls = _FAMILIES[args.family]
-    if args.n is None:
-        raise ArgumentError(f"--family {args.family} requires --n")
-    if cls is KIntersect:
-        if args.k is None:
-            raise ArgumentError("--family kint requires --k")
-        return cls(args.n, args.k)
-    return cls(args.n)
-
-
-def _parameters(family) -> dict:
-    """A family's ``describe()`` without its name: the report's parameters."""
-    return {k: v for k, v in family.describe().items() if k != "family"}
+    names = [field.name for field in dataclasses.fields(cls)]
+    for name in names:
+        if getattr(args, name) is None:
+            raise ArgumentError(f"--family {args.family} requires --{name}")
+    return cls(*(getattr(args, name) for name in names))
 
 
 def _read_text(path: str) -> str:
@@ -148,7 +132,7 @@ def _resolve_function(args):
         f = load_truth_table(_read_text(args.table))
         return f, f"table:{args.table}", {"x_size": f.x_size, "y_size": f.y_size}
     family = _family_from_args(args)
-    return build_family(family), family.name, _parameters(family)
+    return build_family(family), family.name, dataclasses.asdict(family)
 
 
 def _resolve_channel(args):
@@ -197,11 +181,18 @@ def _resolve_ordering(args, f, dist, channel):
     )
 
 
-def _parse_biases(spec: str) -> list:
+def _parse_biases(spec: str, count: int) -> list:
+    """The --bias values for ``count`` boxes.  One value broadcasts to every
+    box, also to none; it is checked first, since no box may be left to
+    check it."""
     try:
-        return [float(part) for part in spec.split(",") if part != ""]
+        biases = [float(part) for part in spec.split(",") if part != ""]
     except ValueError as exc:
         raise ArgumentError(f"--bias expects comma-separated numbers, got {spec!r}") from exc
+    if len(biases) == 1 and count != 1:
+        _check_bias(biases[0])
+        return biases * count
+    return biases
 
 
 # ---------------------------------------------------------------------------
@@ -224,24 +215,22 @@ def _handle_bound(args) -> int:
         "total": report.total,
         "tolerance": TOLERANCE,
     }
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        rows = [["record", "index", "value"]]
-        rows += [["term", str(i), _fmt(t)] for i, t in enumerate(report.terms)]
-        rows.append(["total", "", _fmt(report.total)])
-        _emit_csv(rows)
-    else:
-        lines = [
+    terms = [_fmt(t) for t in report.terms]
+    _emit(
+        args.format,
+        payload,
+        [["record", "index", "value"], *(["term", str(i), t] for i, t in enumerate(terms)),
+         ["total", "", _fmt(report.total)]],
+        [
             f"function: {name} {params}",
             f"channel: {channel.describe()}",
             f"ordering: {report.ordering_strategy} {list(report.ordering)}",
             f"distribution: {dist.label}",
             "terms:",
-        ]
-        lines += [f"  [{i}] {_fmt(t)}" for i, t in enumerate(report.terms)]
-        lines.append(f"total: {_fmt(report.total)}")
-        _emit_text(lines)
+            *(f"  [{i}] {t}" for i, t in enumerate(terms)),
+            f"total: {_fmt(report.total)}",
+        ],
+    )
     return 0
 
 
@@ -259,22 +248,19 @@ def _handle_classify(args) -> int:
             {"source": c.source, "target": c.target, "passed": c.passed} for c in checks
         ],
     }
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        rows = [["label", "count", "representative"]]
-        rows += [[label, str(count), rep.bits()] for label, count, rep in table]
-        _emit_csv(rows)
-    else:
-        lines = [f"classes: {payload['class_count']}  (functions: {payload['total_functions']})"]
-        lines += [f"  {label:>4}: {count:6d}  rep={rep.bits()}" for label, count, rep in table]
-        lines += [f"hierarchy {c.source}->{c.target}: ok" for c in checks]
-        _emit_text(lines)
+    classes = payload["classes"]
+    _emit(
+        args.format,
+        payload,
+        [["label", "count", "representative"],
+         *([c["label"], str(c["count"]), c["representative"]] for c in classes)],
+        [
+            f"classes: {payload['class_count']}  (functions: {payload['total_functions']})",
+            *(f"  {c['label']:>4}: {c['count']:6d}  rep={c['representative']}" for c in classes),
+            *(f"hierarchy {c.source}->{c.target}: ok" for c in checks),
+        ],
+    )
     return 0
-
-
-def _monomial_name(subset) -> str:
-    return "1" if not subset else "*".join(f"y{i}" for i in subset)
 
 
 def _coefficient_terms(dec):
@@ -288,7 +274,8 @@ def _coefficient_terms(dec):
     columns = itertools.chain.from_iterable(dec.column_blocks([m for m, _ in subsets]))
     for (m, s), bits in zip(subsets, columns):
         bits += ord("0")
-        yield _monomial_name(s), s, bits.tobytes().decode("ascii"), constant[m]
+        monomial = "*".join(f"y{i}" for i in s) or "1"
+        yield monomial, s, bits.tobytes().decode("ascii"), constant[m]
 
 
 def _handle_prbox_decompose(args) -> int:
@@ -320,19 +307,10 @@ def _handle_prbox_decompose(args) -> int:
     return 0
 
 
-def _expand_biases(biases, count: int):
-    """One bias broadcasts to every box, also to none; it is checked first,
-    since no box may be left to check it."""
-    if len(biases) == 1 and count != 1:
-        _check_bias(biases[0])
-        return biases * count
-    return biases
-
-
 def _handle_prbox_bias(args) -> int:
     f, name, params = _resolve_function(args)
     dec = decompose(f)
-    biases = _expand_biases(_parse_biases(args.bias), dec.box_count)
+    biases = _parse_biases(args.bias, dec.box_count)
     p = success_probability(dec, biases)
     payload = {
         "function": name,
@@ -341,16 +319,12 @@ def _handle_prbox_bias(args) -> int:
         "box_count": dec.box_count,
         "success_probability": p,
     }
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        _emit_csv([["box_count", "success_probability"], [str(dec.box_count), _fmt(p)]])
-    else:
-        _emit_text([
-            f"function: {name} {params}",
-            f"biases: {list(biases)}",
-            f"success probability: {_fmt(p)}",
-        ])
+    _emit(
+        args.format,
+        payload,
+        [["box_count", "success_probability"], [str(dec.box_count), _fmt(p)]],
+        [f"function: {name} {params}", f"biases: {list(biases)}", f"success probability: {_fmt(p)}"],
+    )
     return 0
 
 
@@ -360,11 +334,11 @@ def _handle_prbox_violation(args) -> int:
     _check_message_bits(args.m)
     f = build_family(family)
     decomposition = decompose(f)
-    biases = _expand_biases(_parse_biases(args.bias), decomposition.box_count)
+    biases = _parse_biases(args.bias, decomposition.box_count)
     report = _violation_report(family, f, decomposition, biases, args.m)
     payload = {
         "function": family.name,
-        "parameters": _parameters(family),
+        "parameters": dataclasses.asdict(family),
         "biases": list(biases),
         "message_bits": args.m,
         "success_probability": report.success_probability,
@@ -373,22 +347,22 @@ def _handle_prbox_violation(args) -> int:
         "violated": report.violated,
         "no_signal": report.no_signal,
     }
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        _emit_csv([
+    status = "NO SIGNAL" if report.no_signal else ("VIOLATED" if report.violated else "ok")
+    _emit(
+        args.format,
+        payload,
+        [
             ["success_probability", "bound_total", "message_bits", "violated", "no_signal"],
             [_fmt(report.success_probability), _fmt(report.bound_total), str(args.m),
              str(report.violated).lower(), str(report.no_signal).lower()],
-        ])
-    else:
-        status = "NO SIGNAL" if report.no_signal else ("VIOLATED" if report.violated else "ok")
-        _emit_text([
+        ],
+        [
             f"function: {family.name} {payload['parameters']}",
             f"success probability: {_fmt(report.success_probability)}",
             f"bound: {_fmt(report.bound_total)} vs m = {args.m}",
             f"status: {status}",
-        ])
+        ],
+    )
     return 0
 
 
@@ -397,73 +371,48 @@ def _handle_prbox_maxbias(args) -> int:
     threshold = max_bias(family, args.m)
     payload = {
         "function": family.name,
-        "parameters": _parameters(family),
+        "parameters": dataclasses.asdict(family),
         "message_bits": args.m,
         "max_bias": threshold,
     }
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        _emit_csv([["message_bits", "max_bias"], [str(args.m), _fmt(threshold)]])
-    else:
-        _emit_text([
-            f"function: {family.name} {payload['parameters']}",
-            f"max bias at m = {args.m}: {_fmt(threshold)}",
-        ])
+    _emit(
+        args.format,
+        payload,
+        [["message_bits", "max_bias"], [str(args.m), _fmt(threshold)]],
+        [f"function: {family.name} {payload['parameters']}",
+         f"max bias at m = {args.m}: {_fmt(threshold)}"],
+    )
     return 0
 
 
-_FAMILY_HELP = [
-    ("index", "f(x, y) = x_y", "n >= 1", "x_size = 2^n, y_size = n", "natural"),
-    ("ip", "XOR_i x_i y_i", "n >= 1", "x_size = y_size = 2^n", "unit-first"),
-    ("disj", "[no common 1-position]", "n >= 1", "x_size = y_size = 2^n", "unit-first"),
-    ("eq", "[x = y]", "n >= 1", "x_size = y_size = 2^n", "natural"),
-    ("kint", "[at least k common 1s]", "n >= 1, 1 <= k <= n/2", "x_size = y_size = 2^n",
-     "kint-proof"),
-]
-
-
 def _handle_families(args) -> int:
-    payload = {
-        "families": [
-            {"name": n, "definition": d, "parameters": p, "sizes": s, "standard_ordering": o}
-            for n, d, p, s, o in _FAMILY_HELP
-        ]
-    }
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        rows = [["name", "definition", "parameters", "sizes", "standard_ordering"]]
-        rows += [list(entry) for entry in _FAMILY_HELP]
-        _emit_csv(rows)
-    else:
-        _emit_text([
-            f"{n:>6}: {d}  ({p}; {s}; standard ordering {o})" for n, d, p, s, o in _FAMILY_HELP
-        ])
+    rows = [
+        [cls.name, cls.definition, cls.parameter_range, cls.sizes, cls.ordering] for cls in FAMILIES
+    ]
+    keys = ["name", "definition", "parameters", "sizes", "standard_ordering"]
+    _emit(
+        args.format,
+        {"families": [dict(zip(keys, row)) for row in rows]},
+        [keys, *rows],
+        [f"{n:>6}: {d}  ({p}; {s}; standard ordering {o})" for n, d, p, s, o in rows],
+    )
     return 0
 
 
 def _handle_oracle_check(args) -> int:
     result = oracle_check(cases=args.cases, seed=args.seed, max_size=args.max_size)
-    payload = {
-        "cases": result.cases,
-        "seed": result.seed,
-        "max_size": result.max_size,
-        "max_deviation": result.max_deviation,
-        "tolerance": TOLERANCE,
-        "ok": result.ok,
-    }
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        _emit_csv([["cases", "max_deviation", "ok"],
-                   [str(result.cases), f"{result.max_deviation:.3e}", str(result.ok).lower()]])
-    else:
-        _emit_text([
+    payload = {**dataclasses.asdict(result), "tolerance": TOLERANCE, "ok": result.ok}
+    _emit(
+        args.format,
+        payload,
+        [["cases", "max_deviation", "ok"],
+         [str(result.cases), f"{result.max_deviation:.3e}", str(result.ok).lower()]],
+        [
             f"cases: {result.cases} (seed {result.seed}, sizes <= {result.max_size})",
             f"max deviation: {result.max_deviation:.3e}",
             f"ok: {result.ok}",
-        ])
+        ],
+    )
     return 0 if result.ok else 1
 
 
@@ -482,13 +431,6 @@ def _add_function_source(p: argparse.ArgumentParser, with_table: bool = True) ->
         p.add_argument("--table", metavar="PATH", help="truth-table JSON file")
     p.add_argument("--n", type=int, help="family size parameter")
     p.add_argument("--k", type=int, help="threshold for kint (also kint-proof ordering)")
-
-
-def _check_function_source(args, parser, with_table: bool = True) -> None:
-    has_family = args.family is not None
-    has_table = with_table and getattr(args, "table", None) is not None
-    if has_family == has_table:
-        parser.error("exactly one of --family or --table is required")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -565,8 +507,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "needs_source", False):
-            _check_function_source(args, parser, with_table=hasattr(args, "table"))
+        # violation and maxbias take no --table and default it to None.
+        if getattr(args, "needs_source", False) and (args.family is None) == (args.table is None):
+            parser.error("exactly one of --family or --table is required")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -577,10 +520,7 @@ def main(argv=None) -> int:
     except (CensusMismatchError, HierarchyViolationError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 3
-    except IcboundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (IcboundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

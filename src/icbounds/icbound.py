@@ -63,14 +63,10 @@ import numpy as np
 
 from .boolfn import (
     BooleanFunction,
-    Disjointness,
-    Equality,
     FunctionFamily,
-    Index,
-    InnerProduct,
     InputDistribution,
-    KIntersect,
     _integer_entries,
+    _is_integer,
 )
 from .errors import ArgumentError, ExhaustiveSearchRefusal
 from .infocalc import (
@@ -470,10 +466,6 @@ def direct_oracle(
 # ---------------------------------------------------------------------------
 
 
-def _natural_perm(y_size: int) -> tuple:
-    return tuple(range(y_size))
-
-
 def _unit_first_perm(y_size: int) -> tuple:
     n = y_size.bit_length() - 1
     if (1 << n) != y_size:
@@ -483,7 +475,11 @@ def _unit_first_perm(y_size: int) -> tuple:
     return tuple(units + rest)
 
 
-def _kint_proof_perm(y_size: int, k: int) -> tuple:
+def _kint_proof_perm(y_size: int, k) -> tuple:
+    if k is None:
+        raise ArgumentError("kint-proof ordering requires k")
+    if not _is_integer(k):
+        raise ArgumentError(f"kint-proof ordering requires an integer k, got {k!r}")
     n = y_size.bit_length() - 1
     if (1 << n) != y_size:
         raise ArgumentError(f"kint-proof ordering requires |Y| a power of two, got {y_size}")
@@ -638,14 +634,8 @@ def make_ordering(
         name = "unit-first"
     if name not in _STRATEGIES:
         raise ArgumentError(f"unknown ordering strategy {strategy!r}; choose from {_STRATEGIES}")
-    if name == "natural":
-        return Ordering(_natural_perm(f.y_size), "natural")
-    if name == "unit-first":
-        return Ordering(_unit_first_perm(f.y_size), "unit-first")
-    if name == "kint-proof":
-        if k is None:
-            raise ArgumentError("kint-proof ordering requires k")
-        return Ordering(_kint_proof_perm(f.y_size, int(k)), "kint-proof")
+    if name not in ("greedy", "exhaustive"):
+        return _fixed_ordering(name, f.y_size, k)
     dist = dist if dist is not None else InputDistribution.uniform(f.x_size)
     channel = channel if channel is not None else Deterministic()
     if name == "greedy":
@@ -653,15 +643,19 @@ def make_ordering(
     return Ordering(_exhaustive_perm(f, dist, channel, allow_big_exhaustive), "exhaustive")
 
 
+def _fixed_ordering(name: str, y_size: int, k) -> Ordering:
+    """The ordering of a strategy that reads only |Y|, and k for kint-proof."""
+    if name == "natural":
+        return Ordering(tuple(range(y_size)), name)
+    if name == "unit-first":
+        return Ordering(_unit_first_perm(y_size), name)
+    return Ordering(_kint_proof_perm(y_size, k), name)
+
+
 def standard_ordering(family: FunctionFamily) -> Ordering:
-    """The ordering under which each built-in family's reference bound holds."""
-    if isinstance(family, (Index, Equality)):
-        return Ordering(_natural_perm(family.y_size), "natural")
-    if isinstance(family, (InnerProduct, Disjointness)):
-        return Ordering(_unit_first_perm(family.y_size), "unit-first")
-    if isinstance(family, KIntersect):
-        return Ordering(_kint_proof_perm(family.y_size, family.k), "kint-proof")
-    raise ArgumentError(f"no standard ordering for {family!r}")
+    """The ordering under which each built-in family's reference bound holds:
+    the fixed strategy the family declares as ``ordering``."""
+    return _fixed_ordering(family.ordering, family.y_size, getattr(family, "k", None))
 
 
 # ---------------------------------------------------------------------------
@@ -765,8 +759,13 @@ def oracle_check(cases: int = 100, seed: int = 1783, max_size: int = 16) -> Orac
     with x_size, y_size up to ``max_size`` (at most ``ORACLE_MAX_SIZE``);
     returns the largest per-term or total deviation observed.
     """
+    for label, value in (("cases", cases), ("seed", seed), ("max_size", max_size)):
+        if not _is_integer(value):
+            raise ArgumentError(f"{label} must be an integer, got {value!r}")
     if cases < 1:
         raise ArgumentError(f"cases must be >= 1, got {cases}")
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     if not 1 <= max_size <= ORACLE_MAX_SIZE:
         raise ArgumentError(
             f"max_size must lie in [1, {ORACLE_MAX_SIZE}], got {max_size}"

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .boolfn import BooleanFunction, FunctionFamily, InputDistribution, build_family
+from .boolfn import BooleanFunction, FunctionFamily, InputDistribution, _is_integer, build_family
 from .errors import ArgumentError, UnsupportedSizeError
 from .icbound import (
     BoundReport,
@@ -261,11 +261,7 @@ class ViolationReport:
 
 def _check_message_bits(message_bits) -> None:
     # bools are ints, and a float such as 1.5 or NaN is no number of bits.
-    if (
-        isinstance(message_bits, (bool, np.bool_))
-        or not isinstance(message_bits, (int, np.integer))
-        or message_bits < 1
-    ):
+    if not _is_integer(message_bits) or message_bits < 1:
         raise ArgumentError(f"message_bits must be an integer >= 1, got {message_bits!r}")
 
 

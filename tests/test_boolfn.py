@@ -129,6 +129,19 @@ def test_family_parameter_errors():
         KIntersect(4, 3)  # k > floor(n/2)
     with pytest.raises(FamilyParameterError):
         KIntersect(4, 0)
+    # Parameters are integers: a float is not truncated, a bool is no size.
+    with pytest.raises(FamilyParameterError, match="integer k"):
+        KIntersect(6, 2.5)
+    with pytest.raises(FamilyParameterError, match="integer n"):
+        Equality(3.0)
+    with pytest.raises(FamilyParameterError, match="integer n"):
+        Index(True)
+
+
+def test_family_parameters_are_stored_as_python_ints():
+    family = InnerProduct(np.int64(3))
+    assert json.loads(json.dumps(family.describe())) == {"family": "ip", "n": 3}
+    assert type(KIntersect(np.uint8(6), np.int32(2)).k) is int
 
 
 def test_bit_convention_helpers():

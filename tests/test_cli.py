@@ -20,6 +20,7 @@ from icbounds import (
     violation_check,
 )
 from icbounds import cli, prbox
+from icbounds.boolfn import MAX_TABLE_BITS
 from icbounds.cli import main
 
 
@@ -425,16 +426,40 @@ FILE_CONTENTS = st.one_of(
 @given(
     cases=st.integers(-2, 2) | st.integers(),
     max_size=st.integers(-2, 3) | st.integers(1025) | st.integers(max_value=0) | st.integers(),
+    seed=st.integers(-2, 2) | st.integers(),
 )
-def test_fuzzed_oracle_check_sizes_exit_cleanly(cases, max_size):
-    # Out-of-range counts and sizes are argument errors (2), refused before
-    # any table is drawn; exit 1 stays reserved for an oracle deviation.
-    valid = cases >= 1 and 1 <= max_size <= 1024
+def test_fuzzed_oracle_check_sizes_exit_cleanly(cases, max_size, seed):
+    # Out-of-range counts, sizes and seeds are argument errors (2), refused
+    # before any table is drawn; exit 1 stays reserved for an oracle deviation.
+    valid = cases >= 1 and 1 <= max_size <= 1024 and seed >= 0
     if valid:
         cases, max_size = min(cases, 2), min(max_size, 3)
+    argv = ["oracle-check", "--cases", str(cases), "--max-size", str(max_size), "--seed", str(seed)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(["oracle-check", "--cases", str(cases), "--max-size", str(max_size)])
+        code = main(argv)
     assert code == (0 if valid else 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(["index", "ip", "disj", "eq", "kint"]),
+    n=st.integers(-2, 5) | st.integers(12, 16) | st.integers(22, 30) | st.integers(),
+    command=st.sampled_from([["bound"], ["prbox", "maxbias", "--m", "1"]]),
+)
+def test_fuzzed_family_sizes_exit_cleanly(family, n, command):
+    # Every --n ends in an answer (0), an argument error (2) or a refusal (3),
+    # never a traceback: a huge n is refused from n alone, before 1 << n.
+    # A size that would build is shrunk, so that the test stays fast.
+    smallest = 2 if family == "kint" else 1  # kint needs 1 <= k <= n/2
+    buildable = smallest <= n <= 23 and (n if family == "index" else 1 << n) << n <= MAX_TABLE_BITS
+    if buildable:
+        n = min(n, 4)
+    argv = [*command, "--family", family, "--n", str(n), "--k", "1"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    assert code == (0 if buildable else 2 if n < smallest else 3), err.getvalue()
 
 
 @settings(max_examples=200, deadline=None)

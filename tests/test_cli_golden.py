@@ -1,8 +1,10 @@
-"""Exact stdout of ``bound`` and ``prbox`` invocations, against saved output.
+"""Exact stdout of every subcommand, against saved output.
 
 The saved bytes in ``data/cli_golden.json`` pin every family, all three
 channels and the three output formats, so a change in summation order that
 moves a printed ninth decimal, or the sign of a printed zero, shows here.
+``classify``, ``families`` and ``oracle-check`` are pinned in all three
+formats too.
 """
 
 import json
@@ -52,6 +54,9 @@ INVOCATIONS = [
     ["prbox", "maxbias", "--family", "eq", "--n", "3", "--m", "1", "--format", "text"],
     ["prbox", "maxbias", "--family", "kint", "--n", "4", "--k", "2", "--m", "1", "--format", "csv"],
     ["prbox", "decompose", "--family", "ip", "--n", "2", "--format", "json"],
+    *([command, *extra, "--format", fmt]
+      for command, extra in (("classify", []), ("families", []), ("oracle-check", ["--cases", "10"]))
+      for fmt in ("text", "json", "csv")),
 ]
 
 

@@ -258,6 +258,14 @@ def test_exhaustive_threads_agree():
     assert seq == par
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"seed": -1}, {"seed": 2.5}, {"seed": True}, {"cases": 2.5}, {"max_size": 4.0}]
+)
+def test_oracle_check_refuses_a_negative_seed_and_counts_that_are_not_integers(kwargs):
+    with pytest.raises(ArgumentError, match=next(iter(kwargs))):
+        oracle_check(**{"cases": 2, "max_size": 3, **kwargs})
+
+
 def test_oracle_check_rejects_empty_sizes():
     with pytest.raises(ArgumentError, match="max_size"):
         oracle_check(cases=5, max_size=0)
@@ -299,6 +307,18 @@ def test_ordering_refuses_entries_that_are_not_integers(perm, entry):
     # A float is not truncated into an index and a boolean is not an int.
     with pytest.raises(ArgumentError, match=f"ordering entry {entry} "):
         Ordering(perm)
+
+
+@pytest.mark.parametrize("k", [1.9, 2.0, True, np.True_, "2"])
+def test_kint_proof_ordering_refuses_a_k_that_is_not_an_integer(k):
+    # int(1.9) would silently give k = 1.
+    with pytest.raises(ArgumentError, match="integer k"):
+        make_ordering("kint-proof", build_family(KIntersect(4, 2)), k=k)
+
+
+def test_kint_proof_ordering_accepts_a_numpy_k():
+    f = build_family(KIntersect(4, 2))
+    assert make_ordering("kint-proof", f, k=np.int64(2)) == make_ordering("kint-proof", f, k=2)
 
 
 def test_ordering_accepts_numpy_integers():
