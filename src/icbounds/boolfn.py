@@ -81,12 +81,16 @@ def _is_integer(value) -> bool:
 
 
 def _integer_entries(values, name: str, kind: str, error=ArgumentError) -> tuple:
-    """The entries of ``values`` as Python ints; any other entry raises ``error``."""
+    """The entries of ``values`` as Python ints; any other entry raises ``error``.
+
+    One pass in C over the entry types decides; only a refusal looks at the
+    entries one by one, to name the first that is not an integer."""
     values = tuple(values)
-    for i, v in enumerate(values):
-        if not _is_integer(v):
-            raise error(f"{name} entry {i} is {v!r}, not an integer {kind}")
-    return tuple(int(v) for v in values)
+    types = set(map(type, values))
+    if not all(issubclass(t, (int, np.integer)) and not issubclass(t, (bool, np.bool_)) for t in types):
+        i, v = next((i, v) for i, v in enumerate(values) if not _is_integer(v))
+        raise error(f"{name} entry {i} is {v!r}, not an integer {kind}")
+    return tuple(map(int, values))
 
 
 class BooleanFunction:

@@ -25,10 +25,10 @@ histories prune.
 The cells after step i are the nodes at depth i of the binary trie of the
 rows f(x, .) read in the ordering, and only the branching nodes (0 < q < 1)
 contribute.  ``_RefinementTrace`` finds all of them from one sort of the
-rows, kept in the table's packed layout (``BooleanFunction.packed_rows``:
-MSB first, zero-padded to a whole byte), so that sorting them as byte
-strings sorts them lexicographically; under the identity ordering with every
-input active the sort reads the stored table, with no copy.  Each adjacent
+rows read in the ordering (module ``rowsort``: a byte-string sort of the
+stored rows under the identity ordering, and under any other ordering of
+more than 64 columns a radix refinement of the distinct rows that reads
+only the bits separating them).  Each adjacent
 pair of sorted rows that differ is one branching node, at the depth of their
 longest common prefix, and its cell reaches to the nearest pairs on either
 side with a shorter common prefix.  Nodes of one step that are adjacent in
@@ -76,6 +76,7 @@ from .infocalc import (
     binary_entropy_vec,
     conditional_mutual_information,
 )
+from .rowsort import _sorted_prefixes
 
 #: Recorded in every report: how the guess channel is pinned down.
 CHANNEL_SEMANTICS = (
@@ -176,12 +177,25 @@ class Ordering:
 
     def __post_init__(self):
         perm = _integer_entries(self.perm, "ordering", "y index")
-        if sorted(perm) != list(range(len(perm))):
+        if not _is_permutation(perm):
             raise ArgumentError(f"not a permutation of 0..{len(perm) - 1}: {perm!r}")
         object.__setattr__(self, "perm", perm)
 
     def __len__(self) -> int:
         return len(self.perm)
+
+
+def _is_permutation(values: tuple) -> bool:
+    """Whether the Python ints ``values`` are 0, 1, ..., len(values) - 1 in
+    some order, checked in C."""
+    try:
+        entries = np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:
+        return False
+    if entries.size and not 0 <= entries.min() <= entries.max() < entries.size:
+        return False
+    # n entries in range(n) are a permutation when none repeats.
+    return bool(np.all(np.bincount(entries, minlength=entries.size) == 1))
 
 
 def _as_ordering(ordering, y_size: int) -> Ordering:
@@ -232,45 +246,6 @@ def _split(labels: np.ndarray, col: np.ndarray, ncells: int):
     return (np.cumsum(nonzero) - 1)[key], counts[nonzero]
 
 
-def _packed_rows(f: BooleanFunction, xs, perm: np.ndarray) -> np.ndarray:
-    """The active rows with their columns in ``perm`` order, in the layout of
-    ``BooleanFunction.packed_rows`` (MSB first, zero padding after the last
-    column): comparing two rows as byte strings compares them
-    lexicographically.  Under the identity ordering these are the stored
-    rows, not copied when every input is active; any other ordering unpacks
-    a block of rows at a time, reorders its columns and packs it again."""
-    if np.array_equal(perm, np.arange(perm.size)):
-        rows = f.packed_rows()
-        return rows if xs is None else rows[xs]
-    rows = np.empty((f.x_size if xs is None else xs.size, -(-perm.size // 8)), dtype=np.uint8)
-    start = 0
-    for block in f.row_blocks(xs, perm):
-        rows[start : start + block.shape[0]] = np.packbits(block, axis=1)
-        start += block.shape[0]
-    return rows
-
-
-def _common_prefixes(rows: np.ndarray, order: np.ndarray, y_size: int) -> np.ndarray:
-    """The longest common prefix, in bits, of every pair of packed rows
-    adjacent in ``order``; ``y_size`` for equal rows.  Int32, one per pair.
-    The rows are gathered a slice of about 2**19 bytes at a time, never all
-    reordered."""
-    lcp = np.empty(max(order.size - 1, 0), dtype=np.int32)
-    step = max(1, (1 << 19) // rows.shape[1])
-    for a in range(0, lcp.size, step):
-        # np.take gathers rows of a few bytes much faster than fancy indexing.
-        diff = np.take(rows, order[1:][a : a + step], axis=0)
-        diff ^= np.take(rows, order[:-1][a : a + step], axis=0)
-        # The first differing byte (byte 0 when the rows are equal).
-        byte = (diff != 0).argmax(axis=1)
-        first = np.take_along_axis(diff, byte[:, None], axis=1)[:, 0]
-        # frexp's exponent of a byte is its bit length; float32 holds every
-        # byte exactly, and frexp on it is much faster than on float16.
-        bits = np.frexp(first.astype(np.float32))[1]
-        lcp[a : a + step] = np.where(first != 0, 8 * byte + 8 - bits, y_size)
-    return lcp
-
-
 def _previous_smaller(values: np.ndarray) -> np.ndarray:
     """For every i, one more than the largest j < i with values[j] < values[i];
     0 when there is none.
@@ -287,12 +262,14 @@ def _previous_smaller(values: np.ndarray) -> np.ndarray:
     ext = np.empty(values.size + 1, dtype=np.int32)
     ext[0] = -1
     ext[1:] = values
-    ptr = np.arange(-1, values.size, dtype=np.int32)
+    # Native-width indices, which numpy does not convert on every gather.
+    ptr = np.arange(-1, values.size)
     ptr[0] = 0
-    todo = np.flatnonzero(ext[:-1] >= ext[1:]).astype(np.int32) + 1
+    todo = np.flatnonzero(ext[:-1] >= ext[1:]) + 1
     while todo.size:
-        ptr[todo] = ptr[ptr[todo]]
-        todo = todo[ext[ptr[todo]] >= ext[todo]]
+        jump = ptr[ptr[todo]]
+        ptr[todo] = jump
+        todo = todo[ext[jump] >= ext[todo]]
     return ptr[1:]
 
 
@@ -306,9 +283,9 @@ class _RefinementTrace:
     The cells after step i are the sets of active inputs whose rows, read in
     the order ``perm``, share their first i entries: the nodes at depth i of
     the binary trie of the rows.  Only a node with both children (0 < q < 1)
-    contributes to a term.  So the rows are sorted once, as byte strings of
-    the packed layout (``_packed_rows``), and the longest common prefix of
-    each adjacent pair is read off its first differing byte.  Every adjacent
+    contributes to a term.  So the rows are sorted once in that order, and
+    the longest common prefix of each adjacent pair is found
+    (``rowsort._sorted_prefixes``).  Every adjacent
     pair of sorted rows that differ is exactly one branching node, at the
     depth of their longest common prefix d, and its cell runs between the
     nearest pairs on either side whose common prefix is shorter than d.
@@ -328,11 +305,7 @@ class _RefinementTrace:
     def __init__(self, f: BooleanFunction, dist: InputDistribution, perm):
         xs, wts = _support(f, dist)
         y_size = len(perm)
-        rows = _packed_rows(f, xs, np.asarray(perm, dtype=np.int64))
-        # Sorting the rows as byte strings sorts them lexicographically.
-        order = np.argsort(rows.view(f"S{rows.shape[1]}")[:, 0], kind="stable")
-        lcp = _common_prefixes(rows, order, y_size)
-        del rows
+        order, lcp = _sorted_prefixes(f, xs, np.asarray(perm, dtype=np.int64))
         cum = np.zeros(order.size + 1)
         np.cumsum(wts[order], out=cum[1:])
         del order
@@ -398,10 +371,18 @@ def compute_bound(
 ) -> BoundReport:
     """Evaluate the information lower bound by partition refinement.
 
-    Reads each active row once and sorts the rows once: O(|X| * |Y|) bit
-    work plus O(|X| log |X|) row comparisons, and one phi evaluation per
-    run of adjacent branching nodes of the row trie with equal q (at most
-    |X| - 1 of them); suitable up to |X| = |Y| = 2**14.
+    Sorts the active rows once as stored, O(|X| log |X|) row comparisons,
+    and makes one phi evaluation per run of adjacent branching nodes of the
+    row trie with equal q (at most |X| - 1 of them); suitable up to
+    |X| = |Y| = 2**14.  Under the identity ordering, or with |Y| <= 64,
+    that sort is the whole read.  Under any other ordering the sort only
+    collapses equal rows, and the distinct rows are then read 64 permuted
+    columns at a time, each only until it is apart from every other: a few
+    per cent of the table's bits for KIntersect under kint-proof, well under
+    one per cent for InnerProduct under unit-first.  Rows that stay together
+    over many columns (Equality under a random ordering) are finished by
+    repacking their remaining columns, about as costly as repacking the
+    whole table.
     """
     ordering = _as_ordering(ordering, f.y_size)
     terms = _RefinementTrace(f, dist, ordering.perm).terms(channel)
@@ -663,15 +644,33 @@ def standard_ordering(family: FunctionFamily) -> Ordering:
 # ---------------------------------------------------------------------------
 
 
+#: The Equality closed forms add up their 2**n terms one at a time, about
+#: 0.4 s at this n; they refuse a larger n.
+EQ_CLOSED_FORM_MAX_N = 20
+
+
+def _equality_terms(n) -> int:
+    """2**n, the number of terms of the Equality sums, once n is known to be
+    an integer in [1, EQ_CLOSED_FORM_MAX_N]."""
+    if not _is_integer(n):
+        raise ArgumentError(f"n must be an integer, got {n!r}")
+    if n < 1:
+        raise ArgumentError(f"n must be >= 1, got {n}")
+    if n > EQ_CLOSED_FORM_MAX_N:
+        raise ArgumentError(
+            f"the equality sums have 2**n terms; n must be <= {EQ_CLOSED_FORM_MAX_N}, got {n}"
+        )
+    return 1 << int(n)
+
+
 def eq_closed_form_deterministic(n: int) -> float:
     """Errorless bound for equality on [2**n] under the natural ordering: exactly n.
 
     Evaluates the telescoping sum sum_{i=2}^{2^n} (i log i - (i-1) log(i-1)) / 2^n
-    as a numerical guard before returning the exact value.
+    as a numerical guard before returning the exact value.  Refuses n above
+    ``EQ_CLOSED_FORM_MAX_N``, as do the other two Equality sums.
     """
-    if n < 1:
-        raise ArgumentError(f"n must be >= 1, got {n}")
-    size = 1 << n
+    size = _equality_terms(n)
     total = math.fsum(
         (i * math.log2(i) - (i - 1) * math.log2(i - 1)) / size for i in range(2, size + 1)
     )
@@ -684,11 +683,9 @@ def eq_closed_form_symmetric(n: int, eps: float) -> float:
 
     (1/2^n) * sum_{i=2}^{2^n} i * (h(eps + (1-2 eps)/i) - h(eps)).
     """
-    if n < 1:
-        raise ArgumentError(f"n must be >= 1, got {n}")
+    size = _equality_terms(n)
     if not 0.0 < eps < 0.5:
         raise ArgumentError(f"eps must lie in (0, 0.5), got {eps!r}")
-    size = 1 << n
     h_eps = binary_entropy(eps)
     return math.fsum(
         i * (binary_entropy(eps + (1.0 - 2.0 * eps) / i) - h_eps) for i in range(2, size + 1)
@@ -701,11 +698,9 @@ def eq_closed_form_one_sided(n: int, eps_ii: float) -> float:
     sum_{i=0}^{2^n-2} ((2^n - i)/2^n) h((1 - eps_ii)/(2^n - i))
       - ((2^n - 1)/2^n) h(eps_ii).
     """
-    if n < 1:
-        raise ArgumentError(f"n must be >= 1, got {n}")
+    size = _equality_terms(n)
     if not 0.0 <= eps_ii < 0.5:
         raise ArgumentError(f"eps_ii must lie in [0, 0.5), got {eps_ii!r}")
-    size = 1 << n
     head = math.fsum(
         ((size - i) / size) * binary_entropy((1.0 - eps_ii) / (size - i))
         for i in range(0, size - 1)
@@ -721,6 +716,8 @@ def kint_analytic_bound(n: int, k: int, eps: float) -> float:
     which collapses the k-fold nested sum arising from the proof ordering and
     is itself at least (n - 2k)(1 - h(eps)).
     """
+    if not (_is_integer(n) and _is_integer(k)):
+        raise ArgumentError(f"requires integers n and k, got n={n!r}, k={k!r}")
     if n < 1 or not 1 <= k <= n // 2:
         raise ArgumentError(f"requires n >= 1 and 1 <= k <= floor(n/2), got n={n}, k={k}")
     if not 0.0 <= eps < 0.5:

@@ -32,6 +32,7 @@ from icbounds import (
     oracle_check,
     standard_ordering,
 )
+from icbounds.icbound import EQ_CLOSED_FORM_MAX_N
 
 
 def uniform_bound(family, ordering, channel):
@@ -186,6 +187,43 @@ def test_kint_analytic_bound_values():
         kint_analytic_bound(4, 1, 0.6)
 
 
+@pytest.mark.parametrize("closed_form, args", [
+    (eq_closed_form_deterministic, (True,)),
+    (eq_closed_form_deterministic, (3.0,)),
+    (eq_closed_form_symmetric, (2.5, 0.1)),
+    (eq_closed_form_symmetric, (np.float64(2.0), 0.1)),
+    (eq_closed_form_one_sided, (False, 0.1)),
+    (eq_closed_form_one_sided, (3.0, 0.1)),
+    (kint_analytic_bound, (6, True, 0.1)),
+    (kint_analytic_bound, (6.0, 2, 0.1)),
+    (kint_analytic_bound, (6, 2.0, 0.1)),
+    (kint_analytic_bound, (np.bool_(True), 1, 0.1)),
+], ids=lambda v: v.__name__ if callable(v) else repr(v))
+def test_closed_forms_refuse_parameters_that_are_not_integers(closed_form, args):
+    with pytest.raises(ArgumentError, match="integer"):
+        closed_form(*args)
+
+
+def test_closed_forms_accept_numpy_integers():
+    assert eq_closed_form_deterministic(np.int64(3)) == 3.0
+    assert eq_closed_form_symmetric(np.int32(3), 0.1) == eq_closed_form_symmetric(3, 0.1)
+    assert eq_closed_form_one_sided(np.uint8(3), 0.1) == eq_closed_form_one_sided(3, 0.1)
+    assert kint_analytic_bound(np.int64(6), np.int16(2), 0.1) == kint_analytic_bound(6, 2, 0.1)
+
+
+def test_equality_sums_refuse_n_above_their_limit_before_summing():
+    # 2**40 terms would take days; the refusal comes from n alone.
+    for call in (
+        lambda: eq_closed_form_deterministic(40),
+        lambda: eq_closed_form_symmetric(EQ_CLOSED_FORM_MAX_N + 1, 0.1),
+        lambda: eq_closed_form_one_sided(10**6, 0.1),
+    ):
+        with pytest.raises(ArgumentError, match=f"n must be <= {EQ_CLOSED_FORM_MAX_N}"):
+            call()
+    assert EQ_CLOSED_FORM_MAX_N >= 20
+    assert eq_closed_form_deterministic(16) == 16.0
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.1])
 def test_kint_proof_bound_small(eps):
     channel = Deterministic() if eps == 0.0 else Symmetric(eps)
@@ -300,6 +338,15 @@ def test_ordering_validation():
 
 
 @pytest.mark.parametrize(
+    "perm", [(0, 2**70), (-2**70, 1), (np.uint64(2**63 + 5), 0), (-1, 0), (1, 2), (1, 1), (0, 2, 2)]
+)
+def test_ordering_refuses_entries_outside_the_permutation_range(perm):
+    # Entries beyond int64 are refused too, not wrapped or raised as OverflowError.
+    with pytest.raises(ArgumentError, match="not a permutation"):
+        Ordering(perm)
+
+
+@pytest.mark.parametrize(
     "perm, entry",
     [((0, 1.9), 1), ((1.0, 0), 0), ((True, 0), 0), ((1, np.False_), 1), (("0", 1), 0), ((0, None), 1)],
 )
@@ -324,6 +371,8 @@ def test_kint_proof_ordering_accepts_a_numpy_k():
 def test_ordering_accepts_numpy_integers():
     assert Ordering(np.array([2, 0, 1])).perm == (2, 0, 1)
     assert all(type(v) is int for v in Ordering(np.array([1, 0], dtype=np.uint8)).perm)
+    assert Ordering((np.int16(2), 0, np.uint64(1))).perm == (2, 0, 1)
+    assert Ordering(()).perm == ()
 
 
 def test_standard_orderings():

@@ -12,8 +12,10 @@ from icbounds import (
     Asymmetric,
     BooleanFunction,
     Deterministic,
+    Disjointness,
     Equality,
     Index,
+    InnerProduct,
     InputDistribution,
     KIntersect,
     Symmetric,
@@ -24,13 +26,12 @@ from icbounds import (
     standard_ordering,
 )
 from icbounds.icbound import (
-    _common_prefixes,
-    _packed_rows,
     _previous_smaller,
     _RefinementTrace,
     _split,
     _support,
 )
+from icbounds.rowsort import _common_prefixes, _packed_rows, _sorted_prefixes
 
 EPS = st.floats(min_value=0.0, max_value=0.499, allow_nan=False)
 CHANNELS = st.one_of(
@@ -349,6 +350,82 @@ def test_common_prefixes_on_word_boundaries(y_size):
         assert _common_prefixes(_packed_rows(f, None, np.arange(y_size)), np.arange(2), y_size).tolist() == [d]
     same = BooleanFunction(2, y_size, np.ones(2 * y_size, dtype=np.uint8))
     assert _common_prefixes(_packed_rows(same, None, np.arange(y_size)), np.arange(2), y_size).tolist() == [y_size]
+
+
+@st.composite
+def wide_tables(draw):
+    """A table of more than one 64-column chunk under a random ordering, and
+    a distribution that may give inputs zero weight.  The rows are random,
+    copies of a few random rows, or one-hot plus a random first column in
+    the ordering: such rows stay in two groups after the first chunk, so
+    the reader repacks the rest."""
+    x_size = draw(st.integers(1, 40))
+    y_size = draw(st.sampled_from([65, 127, 128, 129, 200, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perm = rng.permutation(y_size)
+    kind = draw(st.sampled_from(["random", "repeated", "one-hot"]))
+    if kind == "random":
+        table = rng.integers(0, 2, (x_size, y_size), dtype=np.uint8)
+    elif kind == "repeated":
+        distinct = rng.integers(0, 2, (draw(st.integers(1, 5)), y_size), dtype=np.uint8)
+        table = distinct[rng.integers(0, distinct.shape[0], x_size)]
+    else:
+        table = np.zeros((x_size, y_size), dtype=np.uint8)
+        table[np.arange(x_size), rng.integers(0, y_size, x_size)] = 1
+        table[:, perm[0]] = rng.integers(0, 2, x_size)
+    weights = rng.random(x_size)
+    if draw(st.booleans()):
+        weights[rng.random(x_size) < 0.3] = 0.0
+        weights[int(rng.integers(0, x_size))] += 0.5
+    return table, InputDistribution(weights), perm
+
+
+def reference_sorted_prefixes(read: np.ndarray):
+    """The stable lexicographic order of the rows of ``read`` and the
+    common prefix of each adjacent pair, from the unpacked bits."""
+    # lexsort's last key is its primary one.
+    order = np.lexsort(np.packbits(read, axis=1).T[::-1])
+    differ = read[order[1:]] != read[order[:-1]]
+    return order, np.where(differ.any(axis=1), differ.argmax(axis=1), read.shape[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_tables())
+def test_permuted_reader_is_a_stable_lexicographic_sort(case):
+    table, dist, perm = case
+    f = BooleanFunction(*table.shape, table)
+    xs, _ = _support(f, dist)
+    order, lcp = _sorted_prefixes(f, xs, perm)
+    want_order, want_lcp = reference_sorted_prefixes(table[:, perm] if xs is None else table[xs][:, perm])
+    assert np.array_equal(order, want_order)
+    assert np.array_equal(lcp, want_lcp)
+
+
+@pytest.mark.parametrize("family, strategy", [
+    # Four rounds of 64 columns, with no repack.
+    (KIntersect(10, 4), "kint-proof"),
+    (InnerProduct(10), "unit-first"),
+    (Disjointness(9), "unit-first"),
+    # One round, then the remaining columns repacked.
+    (Equality(9), "random"),
+])
+def test_permuted_reader_on_families(family, strategy):
+    f = build_family(family)
+    if strategy == "random":
+        perm = np.random.default_rng(9).permutation(f.y_size)
+    else:
+        perm = np.array(make_ordering(strategy, f, k=getattr(family, "k", None)).perm)
+    order, lcp = _sorted_prefixes(f, None, perm)
+    # The same table with its columns already in the ordering takes the
+    # identity path.
+    permuted = BooleanFunction(f.x_size, f.y_size, f.table_array()[:, perm])
+    want_order, want_lcp = _sorted_prefixes(permuted, None, np.arange(f.y_size))
+    assert np.array_equal(order, want_order)
+    assert np.array_equal(lcp, want_lcp)
+    dist = InputDistribution.uniform(f.x_size)
+    for channel in (Deterministic(), Symmetric(0.1), Asymmetric(0.05, 0.2)):
+        assert (compute_bound(f, dist, tuple(perm), channel).terms
+                == compute_bound(permuted, dist, tuple(range(f.y_size)), channel).terms)
 
 
 def test_previous_smaller_matches_a_stack_scan():

@@ -21,7 +21,7 @@ from icbounds import (
     save_truth_table,
 )
 from icbounds import boolfn
-from icbounds.icbound import _packed_rows
+from icbounds.rowsort import _packed_rows
 
 # --- the families' definitions, entry by entry, on bit vectors --------------
 
