@@ -99,6 +99,9 @@ class BooleanFunction:
     __slots__ = ("x_size", "y_size", "_packed")
 
     def __init__(self, x_size: int, y_size: int, table):
+        for name, size in (("x_size", x_size), ("y_size", y_size)):
+            if not _is_integer(size):
+                raise ArgumentError(f"{name} must be an integer, got {size!r}")
         x_size, y_size = int(x_size), int(y_size)
         if x_size < 1 or y_size < 1:
             raise ArgumentError(f"sizes must be >= 1, got x_size={x_size}, y_size={y_size}")
@@ -473,6 +476,9 @@ class InputDistribution:
 
     @classmethod
     def uniform(cls, x_size: int) -> "InputDistribution":
+        if not _is_integer(x_size):
+            raise ArgumentError(f"x_size must be an integer, got {x_size!r}")
+        x_size = int(x_size)
         if x_size < 1:
             raise ArgumentError(f"x_size must be >= 1, got {x_size}")
         return cls(np.full(x_size, 1.0 / x_size), label="uniform")

@@ -31,7 +31,12 @@ more than 64 columns a radix refinement of the distinct rows that reads
 only the bits separating them).  Each adjacent
 pair of sorted rows that differ is one branching node, at the depth of their
 longest common prefix, and its cell reaches to the nearest pairs on either
-side with a shorter common prefix.  Nodes of one step that are adjacent in
+side with a shorter common prefix.  A shallow, wide trie (at least
+``_NODES_PER_DEPTH`` nodes per depth, as Index under the natural ordering)
+builds those cells bottom-up, one depth at a time, merging each node's two
+child cells; a deep, sparse one (Equality, KIntersect under kint-proof)
+finds them by pointer jumping to the nearest shallower pair.  Nodes of one
+step that are adjacent in
 the sort and have the same q are merged into one entry holding their summed
 mass, since they share one phi value (Index(n) keeps one entry per step).
 The trace does not depend on the channel; only phi does.  ``compute_bound``
@@ -55,7 +60,9 @@ closed-form evaluator.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -97,6 +104,17 @@ EXHAUSTIVE_HARD_LIMIT = 24
 # ---------------------------------------------------------------------------
 
 
+def _error_rate(kind: str, name: str, value) -> float:
+    """An error rate in [0, 0.5) as a Python float; a bool or a value that
+    is not a real number is refused, not converted."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ArgumentError(f"{kind} channel requires a real number {name}, got {value!r}")
+    value = float(value)
+    if not 0.0 <= value < 0.5:
+        raise ArgumentError(f"{kind} channel requires {name} in [0, 0.5), got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Deterministic:
     """Errorless guess: g always equals the function value."""
@@ -119,8 +137,7 @@ class Symmetric:
     eps: float
 
     def __post_init__(self):
-        if not 0.0 <= self.eps < 0.5:
-            raise ArgumentError(f"symmetric channel requires eps in [0, 0.5), got {self.eps!r}")
+        object.__setattr__(self, "eps", _error_rate("symmetric", "eps", self.eps))
 
     def phi(self, q: np.ndarray) -> np.ndarray:
         return binary_entropy_vec(self.eps + q * (1.0 - 2.0 * self.eps)) - binary_entropy(self.eps)
@@ -141,9 +158,8 @@ class Asymmetric:
     eps_ii: float
 
     def __post_init__(self):
-        for name, value in (("eps_i", self.eps_i), ("eps_ii", self.eps_ii)):
-            if not 0.0 <= value < 0.5:
-                raise ArgumentError(f"asymmetric channel requires {name} in [0, 0.5), got {value!r}")
+        for name in ("eps_i", "eps_ii"):
+            object.__setattr__(self, name, _error_rate("asymmetric", name, getattr(self, name)))
 
     def phi(self, q: np.ndarray) -> np.ndarray:
         mix = q * (1.0 - self.eps_ii) + (1.0 - q) * self.eps_i
@@ -273,6 +289,42 @@ def _previous_smaller(values: np.ndarray) -> np.ndarray:
     return ptr[1:]
 
 
+def _cells_by_depth(node: np.ndarray, offsets: list) -> tuple:
+    """The cell of every branching node, found bottom-up one depth at a time.
+
+    Boundary k lies before distinct sorted row k (counting from 0), and the
+    last boundary after the last row.  The nodes of depth d sit at the
+    boundaries ``node[offsets[d]:offsets[d + 1]]``.  ``left[b]`` is where
+    the cell ending at boundary b starts and ``right[b]`` where the cell
+    starting at b ends; at first every cell is one distinct row.  From
+    the deepest depth up, each node joins the cell that ends at its boundary
+    with the cell that starts there.  In a binary trie the cells of one
+    depth are disjoint, so no two of its nodes write the same entry.
+    Returns the boundaries where every node's cell starts and ends (int32,
+    in the order of ``node``).
+    """
+    left = np.arange(-1, node.size + 1, dtype=np.int32)
+    right = np.arange(1, node.size + 3, dtype=np.int32)
+    lo = np.empty(node.size, dtype=np.int32)
+    hi = np.empty(node.size, dtype=np.int32)
+    for a, z in reversed(list(itertools.pairwise(offsets))):
+        if a < z:
+            at, start, end = node[a:z], lo[a:z], hi[a:z]
+            np.take(left, at, out=start)
+            np.take(right, at, out=end)
+            right[start] = end
+            left[end] = start
+    return lo, hi
+
+
+#: A trie with at least this many branching nodes per depth that has any
+#: builds its cells one depth at a time (``_cells_by_depth``), which costs a
+#: few numpy calls per depth; sparser tries use pointer jumping
+#: (``_previous_smaller``), which costs a few passes over the nodes.  The
+#: two took equal time at about 100 nodes per depth, on tries of 500 to
+#: 130 000 nodes (2-core x86_64, numpy 2.4).
+_NODES_PER_DEPTH = 128
+
 #: ``_RefinementTrace.terms`` evaluates phi over at most this many nodes at once.
 _PHI_SLICE = 1 << 16
 
@@ -289,8 +341,15 @@ class _RefinementTrace:
     pair of sorted rows that differ is exactly one branching node, at the
     depth of their longest common prefix d, and its cell runs between the
     nearest pairs on either side whose common prefix is shorter than d.
-    Cell masses and ones masses are differences of one prefix sum of the
-    sorted weights.
+    The nodes are put in step order by one stable sort on depth.  When there
+    are at least ``_NODES_PER_DEPTH`` of them per depth that has any, the
+    cells are built from the deepest step up, one numpy pass per step
+    (``_cells_by_depth``), and come out in step order.  Otherwise a few
+    numpy passes per depth would cost more than the nodes themselves, and
+    the cell bounds are found in sort order by pointer jumping
+    (``_previous_smaller``) and then put in step order.  Both give the same
+    bounds.  Cell masses and ones masses are differences of one prefix sum
+    of the sorted weights.
 
     The nodes are grouped by step, in the lexicographic order of their
     prefixes within a step, and each run of adjacent nodes of one step with
@@ -309,36 +368,48 @@ class _RefinementTrace:
         cum = np.zeros(order.size + 1)
         np.cumsum(wts[order], out=cum[1:])
         del order
-        # edges[j + 1] is the first sorted row after node pair j, with edges[0]
-        # = 0 and edges[-1] = the row count.  Node j's cell is the sorted rows
-        # lo..hi-1, and its rows edges[j + 1]..hi-1 have a 1 in the column at
-        # the node's depth.
+        # Boundary k is edges[k], the first sorted row after node pair k - 1,
+        # with edges[0] = 0 and edges[-1] = the row count.  A node's cell is
+        # the sorted rows from boundary lo to boundary hi, and its rows from
+        # its own boundary to hi have a 1 in the column at the node's depth.
         edges = np.zeros(np.count_nonzero(lcp < y_size) + 2, dtype=np.int32)
         edges[1:-1] = np.flatnonzero(lcp < y_size)
         edges[1:-1] += 1
         edges[-1] = cum.size - 1
         depth = lcp[edges[1:-1] - 1]
         del lcp
-        lo = edges[_previous_smaller(depth)]
-        hi = edges[depth.size + 1 - _previous_smaller(depth[::-1])[::-1]]
-        mass = cum[hi]
-        mass -= cum[lo]
+        counts = np.bincount(depth, minlength=y_size)
+        self.offsets = [0, *np.cumsum(counts).tolist()]
+        # node: the boundary of every node, grouped by step and in sorted
+        # order within a step.  A stable sort of small integers is a radix sort.
+        node = np.argsort(depth.astype(np.uint16) if y_size < 1 << 16 else depth, kind="stable")
+        node += 1
+        if depth.size >= _NODES_PER_DEPTH * np.count_nonzero(counts):
+            del depth
+            lo, hi = _cells_by_depth(node, self.offsets)
+        else:
+            pair = node - 1
+            lo = _previous_smaller(depth)[pair]
+            hi = depth.size + 1 - _previous_smaller(depth[::-1])[::-1][pair]
+            del depth, pair
+        # From boundaries to sorted rows.
+        lo = edges[lo]
+        hi = edges[hi]
+        node = edges[node]
+        del edges
+        top = cum[hi]
+        del hi
+        mass = cum[lo]
+        np.subtract(top, mass, out=mass)
         del lo
-        q = cum[hi]
-        q -= cum[edges[1:-1]]
-        del cum, edges, hi
+        q = cum[node]
+        np.subtract(top, q, out=q)
+        del cum, node, top
         # A node's true mass is positive, but a difference of prefix sums
         # rounds to 0 when the node's weights are below the rounding error of
         # the sums (weights spanning some 16 orders of magnitude); q is then 0.
         np.divide(q, mass, out=q, where=mass > 0.0)
-        # A stable sort of small integers is a radix sort.
-        by_depth = np.argsort(depth.astype(np.uint16) if y_size < 1 << 16 else depth, kind="stable")
-        self.offsets = [0, *np.cumsum(np.bincount(depth, minlength=y_size)).tolist()]
-        step = depth[by_depth]
-        del depth
-        mass = mass[by_depth]
-        q = q[by_depth]
-        del by_depth
+        step = np.repeat(np.arange(y_size, dtype=np.int32), counts)
         # Adjacent nodes of one step with equal q share one phi value.
         first = np.ones(step.size, dtype=bool)
         np.not_equal(step[1:], step[:-1], out=first[1:])
@@ -372,8 +443,10 @@ def compute_bound(
     """Evaluate the information lower bound by partition refinement.
 
     Sorts the active rows once as stored, O(|X| log |X|) row comparisons,
-    and makes one phi evaluation per run of adjacent branching nodes of the
-    row trie with equal q (at most |X| - 1 of them); suitable up to
+    finds the cell of every branching node of the row trie (at most |X| - 1)
+    in a few numpy passes per depth of a shallow, wide trie, or by pointer
+    jumping, O(|X| log |X|), in a deep, sparse one, and makes one phi
+    evaluation per run of adjacent nodes with equal q; suitable up to
     |X| = |Y| = 2**14.  Under the identity ordering, or with |Y| <= 64,
     that sort is the whole read.  Under any other ordering the sort only
     collapses equal rows, and the distinct rows are then read 64 permuted

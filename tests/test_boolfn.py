@@ -194,6 +194,22 @@ def test_constructor_refuses_entries_other_than_bits(table, offset):
 
 
 @pytest.mark.parametrize(
+    "x_size, y_size, name",
+    [(2.7, 2, "x_size"), (2.0, 2, "x_size"), (True, 4, "x_size"), ("2", 2, "x_size"),
+     (2, np.float64(2.0), "y_size"), (2, np.bool_(True), "y_size"), (None, 2, "x_size")],
+)
+def test_constructor_refuses_sizes_that_are_not_integers(x_size, y_size, name):
+    # int() would truncate 2.7 to a 2 x 2 table and read True as size 1.
+    with pytest.raises(ArgumentError, match=f"{name} must be an integer"):
+        BooleanFunction(x_size, y_size, [0, 1, 1, 0])
+
+
+def test_constructor_accepts_numpy_integer_sizes():
+    f = BooleanFunction(np.int64(2), np.uint8(2), [0, 1, 1, 0])
+    assert (f.x_size, f.y_size) == (2, 2) and type(f.x_size) is int
+
+
+@pytest.mark.parametrize(
     "table",
     [[True, False], [1.0, 0.0], np.array([1, 0], dtype=np.int64), np.array([[1], [0]]), np.array([1, 0], dtype=bool)],
 )
@@ -359,6 +375,16 @@ def test_distribution_errors():
 def test_distribution_rejects_non_finite_weights(bad):
     with pytest.raises(ArgumentError):
         InputDistribution([1.0, bad, 1.0])
+
+
+@pytest.mark.parametrize("x_size", [2.5, 2.0, True, np.bool_(True), "3", None])
+def test_uniform_refuses_sizes_that_are_not_integers(x_size):
+    with pytest.raises(ArgumentError, match="x_size must be an integer"):
+        InputDistribution.uniform(x_size)
+
+
+def test_uniform_accepts_numpy_integer_sizes():
+    assert InputDistribution.uniform(np.int32(4)).weights.tolist() == [0.25] * 4
 
 
 def test_distribution_rejects_an_overflowing_total():

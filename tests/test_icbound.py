@@ -1,5 +1,6 @@
 """The bound evaluator, ordering strategies, closed forms, and the oracle."""
 
+import json
 import math
 import tracemalloc
 
@@ -56,6 +57,33 @@ def test_channel_parameter_validation():
         Asymmetric(0.1, 0.5)
     Symmetric(0.0)  # eps = 0 is the errorless boundary and is allowed
     Asymmetric(0.0, 0.49)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Symmetric("0.1"),
+        lambda: Symmetric(None),
+        lambda: Symmetric(False),
+        lambda: Symmetric(np.bool_(False)),
+        lambda: Symmetric(0.1 + 0j),
+        lambda: Asymmetric(0.1, None),
+        lambda: Asymmetric(True, 0.1),
+        lambda: Asymmetric(0.1, "0.2"),
+    ],
+)
+def test_channels_refuse_error_rates_that_are_not_real_numbers(make):
+    with pytest.raises(ArgumentError, match="real number"):
+        make()
+
+
+def test_channels_store_error_rates_as_python_floats():
+    sym = Symmetric(np.float32(0.1))
+    asym = Asymmetric(0, np.float64(0.25))
+    assert type(sym.eps) is float and sym.eps == float(np.float32(0.1))
+    assert type(asym.eps_i) is float and type(asym.eps_ii) is float
+    assert json.loads(json.dumps(asym.describe())) == {"kind": "asymmetric", "eps_i": 0.0, "eps_ii": 0.25}
+    json.dumps(sym.describe())
 
 
 def test_asymmetric_zero_equals_deterministic():

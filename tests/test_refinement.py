@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from icbounds import (
@@ -26,6 +26,7 @@ from icbounds import (
     standard_ordering,
 )
 from icbounds.icbound import (
+    _NODES_PER_DEPTH,
     _previous_smaller,
     _RefinementTrace,
     _split,
@@ -426,6 +427,80 @@ def test_permuted_reader_on_families(family, strategy):
     for channel in (Deterministic(), Symmetric(0.1), Asymmetric(0.05, 0.2)):
         assert (compute_bound(f, dist, tuple(perm), channel).terms
                 == compute_bound(permuted, dist, tuple(range(f.y_size)), channel).terms)
+
+
+def pointer_jumping_trace(f, dist, perm):
+    """(step, q, mass, offsets) as the trace built them with pointer jumping
+    alone: every node's cell bounds in sort order from ``_previous_smaller``,
+    then mass and q permuted into step order."""
+    xs, wts = _support(f, dist)
+    y_size = len(perm)
+    order, lcp = _sorted_prefixes(f, xs, np.asarray(perm, dtype=np.int64))
+    cum = np.zeros(order.size + 1)
+    np.cumsum(wts[order], out=cum[1:])
+    edges = np.zeros(np.count_nonzero(lcp < y_size) + 2, dtype=np.int32)
+    edges[1:-1] = np.flatnonzero(lcp < y_size) + 1
+    edges[-1] = cum.size - 1
+    depth = lcp[edges[1:-1] - 1]
+    lo = edges[_previous_smaller(depth)]
+    hi = edges[depth.size + 1 - _previous_smaller(depth[::-1])[::-1]]
+    mass = cum[hi] - cum[lo]
+    q = cum[hi] - cum[edges[1:-1]]
+    np.divide(q, mass, out=q, where=mass > 0.0)
+    by_depth = np.argsort(depth, kind="stable")
+    offsets = [0, *np.cumsum(np.bincount(depth, minlength=y_size)).tolist()]
+    step, mass, q = depth[by_depth], mass[by_depth], q[by_depth]
+    first = np.ones(step.size, dtype=bool)
+    first[1:] = (step[1:] != step[:-1]) | (q[1:] != q[:-1])
+    first = np.flatnonzero(first)
+    return step[first], q[first], np.add.reduceat(mass, first), offsets
+
+
+@st.composite
+def tall_tables(draw):
+    """A table of thousands of rows and at most 16 columns: with many
+    distinct rows a shallow, wide trie (cells built one depth at a time),
+    with few a sparse one (pointer jumping).  Rows repeat, and weights may be
+    0 or 1e-300, below the rounding of the prefix sums."""
+    x_size = draw(st.integers(1000, 6000))
+    y_size = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.one_of(st.integers(1, 60), st.integers(1000, x_size)))
+    rows = rng.integers(0, 2, (distinct, y_size), dtype=np.uint8)
+    table = rows[rng.integers(0, distinct, x_size)]
+    weights = rng.random(x_size)
+    weights[rng.random(x_size) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    weights[rng.random(x_size) < draw(st.sampled_from([0.0, 0.3]))] = 1e-300
+    weights[int(rng.integers(0, x_size))] = 1.0
+    dist = InputDistribution.uniform(x_size) if draw(st.booleans()) else InputDistribution(weights)
+    return BooleanFunction(x_size, y_size, table), dist, tuple(int(v) for v in rng.permutation(y_size))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tall_tables())
+def test_trace_of_tall_tables_equals_pointer_jumping_bitwise(case):
+    f, dist, perm = case
+    trace = _RefinementTrace(f, dist, perm)
+    step, q, mass, offsets = pointer_jumping_trace(f, dist, perm)
+    counts = np.diff(offsets)
+    by_depth = offsets[-1] >= _NODES_PER_DEPTH * np.count_nonzero(counts)
+    event("cells one depth at a time" if by_depth else "pointer jumping")
+    assert trace.offsets == offsets
+    for got, want in ((trace.step, step), (trace.q, q), (trace.mass, mass)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", [Index(12), InnerProduct(12), Equality(8), KIntersect(10, 5)])
+def test_family_traces_equal_pointer_jumping_bitwise(family):
+    # Index and InnerProduct are shallow, wide tries; Equality and
+    # KIntersect under their orderings are deep and sparse.
+    f = build_family(family)
+    dist, perm = InputDistribution.uniform(f.x_size), standard_ordering(family).perm
+    trace = _RefinementTrace(f, dist, perm)
+    step, q, mass, offsets = pointer_jumping_trace(f, dist, perm)
+    assert trace.offsets == offsets
+    for got, want in ((trace.step, step), (trace.q, q), (trace.mass, mass)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_previous_smaller_matches_a_stack_scan():
