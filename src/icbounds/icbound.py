@@ -28,17 +28,17 @@ contribute.  ``_RefinementTrace`` finds all of them from one sort of the
 rows read in the ordering (module ``rowsort``: a byte-string sort of the
 stored rows under the identity ordering, and under any other ordering of
 more than 64 columns a radix refinement of the distinct rows that reads
-only the bits separating them).  Each adjacent
-pair of sorted rows that differ is one branching node, at the depth of their
-longest common prefix, and its cell reaches to the nearest pairs on either
-side with a shorter common prefix.  A shallow, wide trie (at least
-``_NODES_PER_DEPTH`` nodes per depth, as Index under the natural ordering)
-builds those cells bottom-up, one depth at a time, merging each node's two
-child cells; a deep, sparse one (Equality, KIntersect under kint-proof)
-finds them by pointer jumping to the nearest shallower pair.  Nodes of one
-step that are adjacent in
-the sort and have the same q are merged into one entry holding their summed
-mass, since they share one phi value (Index(n) keeps one entry per step).
+only the bits separating them).  Each adjacent pair of sorted rows that
+differ is one branching node, at the depth of their longest common prefix,
+and its cell reaches to the nearest pairs on either side with a shorter
+common prefix.  A shallow, wide trie (at least ``_NODES_PER_DEPTH`` nodes
+per depth, as Index under the natural ordering) builds those cells
+bottom-up, one depth at a time, merging each node's two child cells; a
+deep, sparse one (Equality, KIntersect under kint-proof) finds them by
+pointer jumping to the nearest shallower pairs.  Nodes of one step that are
+adjacent in the sort and have the same q are merged into one entry holding
+their summed mass, since they share one phi value (Index(n) keeps one entry
+per step).
 The trace does not depend on the channel; only phi does.  ``compute_bound``
 prices one trace, and pricing one table under many channels -- the
 bisection over the error rate in ``prbox.max_bias`` -- evaluates phi again
