@@ -53,9 +53,11 @@ is correct with probability exactly one minus the stated error rate,
 independently for every input pair.  Every report records this convention.
 
 ``direct_oracle`` recomputes the same quantity along an independent path
-(explicit joint tables over history value vectors fed to the generic
-conditional-mutual-information routine) and exists to cross-check the
-closed-form evaluator.
+and exists to cross-check the evaluator: one explicit joint table over the
+history value vectors per step, with no pruning, fed to the generic
+conditional-mutual-information routine.  It uses none of the evaluator's
+machinery (no sort, common prefix, trie, ``_split`` or ``_price``).
+``oracle_check`` runs both on random tables, orderings and channels.
 """
 
 from __future__ import annotations
@@ -105,11 +107,11 @@ EXHAUSTIVE_HARD_LIMIT = 24
 
 
 def _error_rate(kind: str, name: str, value) -> float:
-    """An error rate in [0, 0.5) as a Python float; a bool or a value that
-    is not a real number is refused, not converted."""
+    """An error rate in [0, 0.5) as a Python float, with -0.0 read as 0.0; a
+    bool or a value that is not a real number is refused, not converted."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise ArgumentError(f"{kind} channel requires a real number {name}, got {value!r}")
-    value = float(value)
+    value = float(value) + 0.0
     if not 0.0 <= value < 0.5:
         raise ArgumentError(f"{kind} channel requires {name} in [0, 0.5), got {value!r}")
     return value
@@ -478,33 +480,38 @@ def direct_oracle(
     """Same contract as ``compute_bound``, by an independent route.
 
     At each step the joint distribution of (history value vector, function
-    value, guess) is materialized explicitly from all x and handed to the
-    generic conditional-mutual-information routine.  Exponential in the worst
-    case; intended for |X| * |Y| up to about 2**20.
+    value, guess) is materialized explicitly as a (cells, 2, 2) table over
+    every distinct history of the active inputs, cells in order of first
+    appearance in x, and handed to the generic conditional-mutual-information
+    routine (``infocalc.conditional_mutual_information``).  Independent
+    means that it shares nothing with the evaluator: no row sort, common
+    prefix or trie, no ``_split`` or ``_price``, no phi, and no pruning of
+    cells that no longer split.  It reads the table once; each step is a few
+    numpy passes over the active inputs plus the generic routine on a table
+    of at most |X| cells, so the cost is O(|X| |Y|) with a fixed cost per
+    step.  Ten random tables of up to 256 x 256 take about 0.15 s (2-core
+    x86_64, numpy 2.4).  Intended for |X| * |Y| up to about 2**20.
     """
     ordering = _as_ordering(ordering, f.y_size)
     xs, wts = _support(f, dist)
-    if xs is None:
-        xs = np.arange(f.x_size)
-    histories = [() for _ in range(len(xs))]
+    rows = (f.table_array() if xs is None else f.table_array()[xs]).astype(np.intp)
+    n = wts.size
+    twice_pos = 2 * np.arange(n)
+    guess = np.array([channel.guess_probabilities(v) for v in (0, 1)])
+    # lead: twice the position of the first active input with the same
+    # history.  key = lead + value then numbers every (history, value) pair,
+    # and cells taken in order of lead come in order of first appearance.
+    lead = np.zeros(n, dtype=np.intp)
     terms = []
     for y in ordering.perm:
-        groups: dict = {}
-        values = []
-        for pos, x in enumerate(xs):
-            v = f.bit(int(x), int(y))
-            values.append(v)
-            cell = groups.setdefault(histories[pos], [0.0, 0.0])
-            cell[v] += float(wts[pos])
-        probs = np.zeros((len(groups), 2, 2))
-        for h, (_, masses) in enumerate(groups.items()):
-            for v in (0, 1):
-                g0, g1 = channel.guess_probabilities(v)
-                probs[h, v, 0] = masses[v] * g0
-                probs[h, v, 1] = masses[v] * g1
-        table = JointTable((len(groups), 2, 2), probs.ravel())
+        key = lead + rows[:, y]
+        # bincount adds each cell's weights in x order.
+        masses = np.bincount(key, weights=wts, minlength=2 * n).reshape(n, 2)[lead == twice_pos]
+        table = JointTable((len(masses), 2, 2), masses[:, :, None] * guess)
         terms.append(conditional_mutual_information(table, 2, 1, (0,)))
-        histories = [hist + (v,) for hist, v in zip(histories, values)]
+        first = np.full(2 * n, 2 * n)
+        np.minimum.at(first, key, twice_pos)
+        lead = first[key]
     return BoundReport(
         ordering=ordering.perm,
         ordering_strategy=ordering.strategy,

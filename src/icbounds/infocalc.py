@@ -79,7 +79,7 @@ class JointTable:
             raise ArgumentError(
                 f"probs length {probs.size} != product of dims {math.prod(dims)}"
             )
-        if np.any(probs < 0.0):
+        if (probs < 0.0).any():
             raise ArgumentError("joint probabilities must be non-negative")
         total = float(probs.sum())
         if abs(total - 1.0) > TOLERANCE:
@@ -114,19 +114,19 @@ def conditional_mutual_information(table: JointTable, a: int, b: int, c=()) -> f
     if drop:
         arr = arr.sum(axis=drop)
     pos = {v: i for i, v in enumerate(keep)}
-    arr = np.transpose(arr, (pos[a], pos[b], *(pos[i] for i in cs)))
+    arr = arr.transpose(pos[a], pos[b], *(pos[i] for i in cs))
     p = arr.reshape(table.dims[a], table.dims[b], -1)
 
     p_ac = p.sum(axis=1)
     p_bc = p.sum(axis=0)
     p_c = p_bc.sum(axis=0)
 
-    mask = p > 0.0
-    pm = p[mask]
-    pa = np.broadcast_to(p_ac[:, None, :], p.shape)[mask]
-    pb = np.broadcast_to(p_bc[None, :, :], p.shape)[mask]
-    pc = np.broadcast_to(p_c[None, None, :], p.shape)[mask]
-    return float(np.sum(pm * (np.log2(pm * pc) - np.log2(pa * pb))))
+    ia, ib, ic = (p > 0.0).nonzero()
+    pm = p[ia, ib, ic]
+    pa = p_ac[ia, ic]
+    pb = p_bc[ib, ic]
+    pc = p_c[ic]
+    return float((pm * (np.log2(pm * pc) - np.log2(pa * pb))).sum())
 
 
 def merge_variables(table: JointTable, i: int, j: int) -> JointTable:

@@ -95,6 +95,15 @@ def test_bound_rejects_bad_eps(capsys):
     assert "eps" in err
 
 
+def test_bound_reports_a_negative_zero_eps_as_zero(capsys):
+    code, out, _ = run_cli(
+        capsys, "bound", "--family", "index", "--n", "2", "--channel", "sym", "--eps", "-0.0",
+        "--format", "json",
+    )
+    assert code == 0
+    assert '"eps": 0.0' in out and "-0.0" not in out
+
+
 def test_bound_exhaustive_refusal_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "bound", "--family", "index", "--n", "17", "--ordering", "exhaustive"

@@ -74,6 +74,9 @@ INVOCATIONS = [
     *([command, *extra, "--format", fmt]
       for command, extra in (("classify", []), ("families", []), ("oracle-check", ["--cases", "10"]))
       for fmt in ("text", "json", "csv")),
+    # Random tables up to 64 x 64: many more cells and steps per case than
+    # the default sizes of 16.
+    *(["oracle-check", "--cases", "10", "--max-size", "64", "--format", fmt] for fmt in ("text", "json")),
 ]
 
 

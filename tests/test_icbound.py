@@ -33,6 +33,7 @@ from icbounds import (
     oracle_check,
     standard_ordering,
 )
+from icbounds import icbound, rowsort
 from icbounds.icbound import EQ_CLOSED_FORM_MAX_N
 
 
@@ -84,6 +85,15 @@ def test_channels_store_error_rates_as_python_floats():
     assert type(asym.eps_i) is float and type(asym.eps_ii) is float
     assert json.loads(json.dumps(asym.describe())) == {"kind": "asymmetric", "eps_i": 0.0, "eps_ii": 0.25}
     json.dumps(sym.describe())
+
+
+def test_channels_read_a_negative_zero_error_rate_as_zero():
+    sym = Symmetric(-0.0)
+    asym = Asymmetric(-0.0, 0.1)
+    assert math.copysign(1.0, sym.eps) == 1.0
+    assert math.copysign(1.0, asym.eps_i) == 1.0
+    assert json.dumps(sym.describe()) == '{"kind": "symmetric", "eps": 0.0}'
+    assert json.dumps(asym.describe()) == '{"kind": "asymmetric", "eps_i": 0.0, "eps_ii": 0.1}'
 
 
 def test_asymmetric_zero_equals_deterministic():
@@ -517,6 +527,48 @@ def test_oracle_on_8x8_functions_with_random_channels():
         slow = direct_oracle(f, dist, perm, channel)
         assert fast.total == pytest.approx(slow.total, abs=1e-9)
         assert list(fast.terms) == pytest.approx(list(slow.terms), abs=1e-9)
+
+
+def _spy(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize(
+    "family, ordering, channel, paths",
+    [
+        # Per-depth cell builder: 2**d branching nodes at depth d.
+        (Index(11), "natural", Symmetric(0.1), ["_cells_by_depth"]),
+        # Permuted radix reader, its rows finished by a repack.
+        (Equality(8), "random", Asymmetric(0.05, 0.2), ["_refine_distinct", "_repacked"]),
+        (KIntersect(8, 3), "kint-proof", Symmetric(0.1), ["_refine_distinct"]),
+    ],
+    ids=["index11-natural", "eq8-random", "kint8-3-kint-proof"],
+)
+def test_oracle_agrees_on_the_paths_the_random_corpus_misses(
+    family, ordering, channel, paths, monkeypatch
+):
+    rng = np.random.default_rng(1783)
+    f = build_family(family)
+    dist = InputDistribution(rng.random(f.x_size) + 1e-3)
+    if ordering == "random":
+        perm = Ordering(tuple(int(v) for v in rng.permutation(f.y_size)))
+    else:
+        perm = make_ordering(ordering, f, dist, channel, k=getattr(family, "k", None))
+    calls = []
+    _spy(monkeypatch, icbound, "_cells_by_depth", calls)
+    _spy(monkeypatch, rowsort, "_refine_distinct", calls)
+    _spy(monkeypatch, rowsort, "_repacked", calls)
+    fast = compute_bound(f, dist, perm, channel)
+    assert sorted(calls) == sorted(paths)
+    slow = direct_oracle(f, dist, perm, channel)
+    assert max(abs(a - b) for a, b in zip(fast.terms, slow.terms)) <= 1e-9
+    assert abs(fast.total - slow.total) <= 1e-9
 
 
 def test_oracle_constant_function_is_zero():

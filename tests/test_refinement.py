@@ -17,10 +17,12 @@ from icbounds import (
     Index,
     InnerProduct,
     InputDistribution,
+    JointTable,
     KIntersect,
     Symmetric,
     build_family,
     compute_bound,
+    conditional_mutual_information,
     direct_oracle,
     make_ordering,
     standard_ordering,
@@ -156,6 +158,44 @@ def test_trace_terms_match_direct_oracle(case, channel):
     want = direct_oracle(f, dist, perm, channel)
     assert max(abs(a - b) for a, b in zip(got.terms, want.terms)) <= 1e-9
     assert abs(got.total - want.total) <= 1e-9
+
+
+def reference_oracle_terms(f, dist, perm, channel):
+    """The oracle's terms as a loop over the active inputs: each history is a
+    tuple of values, and each step's cells are a dict of those tuples in order
+    of first appearance, holding the cell's masses summed in x order."""
+    xs, wts = _support(f, dist)
+    if xs is None:
+        xs = np.arange(f.x_size)
+    histories = [() for _ in range(len(xs))]
+    terms = []
+    for y in perm:
+        groups = {}
+        values = []
+        for pos, x in enumerate(xs):
+            v = f.bit(int(x), int(y))
+            values.append(v)
+            cell = groups.setdefault(histories[pos], [0.0, 0.0])
+            cell[v] += float(wts[pos])
+        probs = np.zeros((len(groups), 2, 2))
+        for h, masses in enumerate(groups.values()):
+            for v in (0, 1):
+                g0, g1 = channel.guess_probabilities(v)
+                probs[h, v, 0] = masses[v] * g0
+                probs[h, v, 1] = masses[v] * g1
+        table = JointTable((len(groups), 2, 2), probs.ravel())
+        terms.append(conditional_mutual_information(table, 2, 1, (0,)))
+        histories = [hist + (v,) for hist, v in zip(histories, values)]
+    return terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(weighted_tables(), trie_tables()), CHANNELS)
+def test_direct_oracle_terms_equal_the_per_input_loop_bitwise(case, channel):
+    f, dist, perm = case
+    got = direct_oracle(f, dist, perm, channel).terms
+    want = reference_oracle_terms(f, dist, perm, channel)
+    assert [t.hex() for t in got] == [t.hex() for t in want]
 
 
 @settings(max_examples=150, deadline=None)
