@@ -481,7 +481,15 @@ class InputDistribution:
         x_size = int(x_size)
         if x_size < 1:
             raise ArgumentError(f"x_size must be >= 1, got {x_size}")
-        return cls(np.full(x_size, 1.0 / x_size), label="uniform")
+        # The weights the constructor would make from np.full(x_size,
+        # 1 / x_size), without its copy and its checks of user weights.
+        w = np.full(x_size, 1.0 / x_size)
+        w /= float(w.sum())
+        w.setflags(write=False)
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "weights", w)
+        object.__setattr__(dist, "label", "uniform")
+        return dist
 
     @classmethod
     def from_json(cls, text: str, label: str = "file") -> "InputDistribution":

@@ -182,11 +182,11 @@ def _resolve_ordering(args, f, dist, channel):
 
 
 def _parse_biases(spec: str, count: int) -> list:
-    """The --bias values for ``count`` boxes.  One value broadcasts to every
-    box, also to none; it is checked first, since no box may be left to
-    check it."""
+    """The --bias values for ``count`` boxes, with -0.0 read as 0.0.  One
+    value broadcasts to every box, also to none; it is checked first, since
+    no box may be left to check it."""
     try:
-        biases = [float(part) for part in spec.split(",") if part != ""]
+        biases = [float(part) + 0.0 for part in spec.split(",") if part != ""]
     except ValueError as exc:
         raise ArgumentError(f"--bias expects comma-separated numbers, got {spec!r}") from exc
     if len(biases) == 1 and count != 1:

@@ -25,13 +25,13 @@ histories prune.
 The cells after step i are the nodes at depth i of the binary trie of the
 rows f(x, .) read in the ordering, and only the branching nodes (0 < q < 1)
 contribute.  ``_RefinementTrace`` finds all of them from one sort of the
-rows read in the ordering (module ``rowsort``: a byte-string sort of the
-stored rows under the identity ordering, and under any other ordering of
-more than 64 columns a radix refinement of the distinct rows that reads
-only the bits separating them).  Each adjacent pair of sorted rows that
-differ is one branching node, at the depth of their longest common prefix,
-and its cell reaches to the nearest pairs on either side with a shorter
-common prefix.  A shallow, wide trie (at least ``_NODES_PER_DEPTH`` nodes
+rows read in the ordering (module ``rowsort``: rows of at most 64 columns
+sorted as one integer key each, wider rows as byte strings under the
+identity ordering, and under any other ordering of more than 64 columns a
+radix refinement of the distinct rows that reads only the bits separating
+them).  Each adjacent pair of sorted rows that differ is one branching
+node, at the depth of their longest common prefix, and its cell reaches to
+the nearest pairs on either side with a shorter common prefix.  A shallow, wide trie (at least ``_NODES_PER_DEPTH`` nodes
 per depth, as Index under the natural ordering) builds those cells
 bottom-up, one depth at a time, merging each node's two child cells; a
 deep, sparse one (Equality, KIntersect under kint-proof) finds them by
@@ -350,8 +350,9 @@ class _RefinementTrace:
     numpy passes per depth would cost more than the nodes themselves, and
     the cell bounds are found in sort order by pointer jumping
     (``_previous_smaller``) and then put in step order.  Both give the same
-    bounds.  Cell masses and ones masses are differences of one prefix sum
-    of the sorted weights.
+    bounds.  Cell masses and ones masses are differences of the prefix sums
+    of the sorted weights, kept only at the boundaries, so that the nodes'
+    boundaries index them directly.
 
     The nodes are grouped by step, in the lexicographic order of their
     prefixes within a step, and each run of adjacent nodes of one step with
@@ -367,24 +368,31 @@ class _RefinementTrace:
         xs, wts = _support(f, dist)
         y_size = len(perm)
         order, lcp = _sorted_prefixes(f, xs, np.asarray(perm, dtype=np.int64))
+        # The prefix sums of the sorted weights, in place.
         cum = np.zeros(order.size + 1)
-        np.cumsum(wts[order], out=cum[1:])
+        np.take(wts, order, out=cum[1:])
         del order
-        # Boundary k is edges[k], the first sorted row after node pair k - 1,
-        # with edges[0] = 0 and edges[-1] = the row count.  A node's cell is
-        # the sorted rows from boundary lo to boundary hi, and its rows from
-        # its own boundary to hi have a 1 in the column at the node's depth.
-        edges = np.zeros(np.count_nonzero(lcp < y_size) + 2, dtype=np.int32)
-        edges[1:-1] = np.flatnonzero(lcp < y_size)
-        edges[1:-1] += 1
-        edges[-1] = cum.size - 1
-        depth = lcp[edges[1:-1] - 1]
+        np.cumsum(cum[1:], out=cum[1:])
+        # Each adjacent pair of sorted rows that differ is one node, at the
+        # depth of their common prefix.  Boundary k lies after the k-th
+        # node's pair, boundary 0 before the first sorted row and the last
+        # after the last.  A node's cell is the sorted rows from boundary lo
+        # to boundary hi, and its rows from its own boundary to hi have a 1
+        # in the column at the node's depth.
+        differ = lcp < y_size
+        depth = lcp[differ]
         del lcp
+        if depth.size < cum.size - 2:
+            # From here on ``cum`` holds the prefix sums at the boundaries
+            # only: equal rows share one.
+            cum = np.concatenate((cum[:1], cum[1:-1][differ], cum[-1:]))
+        del differ
         counts = np.bincount(depth, minlength=y_size)
         self.offsets = [0, *np.cumsum(counts).tolist()]
         # node: the boundary of every node, grouped by step and in sorted
-        # order within a step.  A stable sort of small integers is a radix sort.
-        node = np.argsort(depth.astype(np.uint16) if y_size < 1 << 16 else depth, kind="stable")
+        # order within a step.  A stable sort of 8- or 16-bit integers is a
+        # radix sort, one pass per byte.
+        node = np.argsort(depth.astype(np.min_scalar_type(y_size - 1)), kind="stable")
         node += 1
         if depth.size >= _NODES_PER_DEPTH * np.count_nonzero(counts):
             del depth
@@ -394,19 +402,15 @@ class _RefinementTrace:
             lo = _previous_smaller(depth)[pair]
             hi = depth.size + 1 - _previous_smaller(depth[::-1])[::-1][pair]
             del depth, pair
-        # From boundaries to sorted rows.
-        lo = edges[lo]
-        hi = edges[hi]
-        node = edges[node]
-        del edges
-        top = cum[hi]
-        del hi
-        mass = cum[lo]
-        np.subtract(top, mass, out=mass)
-        del lo
         q = cum[node]
+        del node
+        mass = cum[lo]
+        del lo
+        top = cum[hi]
+        del cum, hi
+        np.subtract(top, mass, out=mass)
         np.subtract(top, q, out=q)
-        del cum, node, top
+        del top
         # A node's true mass is positive, but a difference of prefix sums
         # rounds to 0 when the node's weights are below the rounding error of
         # the sums (weights spanning some 16 orders of magnitude); q is then 0.
@@ -450,14 +454,15 @@ def compute_bound(
     jumping, O(|X| log |X|), in a deep, sparse one, and makes one phi
     evaluation per run of adjacent nodes with equal q; suitable up to
     |X| = |Y| = 2**14.  Under the identity ordering, or with |Y| <= 64,
-    that sort is the whole read.  Under any other ordering the sort only
-    collapses equal rows, and the distinct rows are then read 64 permuted
-    columns at a time, each only until it is apart from every other: a few
-    per cent of the table's bits for KIntersect under kint-proof, well under
-    one per cent for InnerProduct under unit-first.  Rows that stay together
-    over many columns (Equality under a random ordering) are finished by
-    repacking their remaining columns, about as costly as repacking the
-    whole table.
+    that sort is the whole read; with |Y| <= 64 each row is one integer
+    key, so Index(20) (2**20 rows) sorts with one argsort of uint32.  Under
+    any other ordering the sort only collapses equal rows, and the distinct
+    rows are then read 64 permuted columns at a time, each only until it is
+    apart from every other: a few per cent of the table's bits for
+    KIntersect under kint-proof, well under one per cent for InnerProduct
+    under unit-first.  Rows that stay together over many columns (Equality
+    under a random ordering) are finished by repacking their remaining
+    columns, about as costly as repacking the whole table.
     """
     ordering = _as_ordering(ordering, f.y_size)
     terms = _RefinementTrace(f, dist, ordering.perm).terms(channel)

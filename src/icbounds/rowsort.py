@@ -6,11 +6,16 @@ equal rows keep x order), and ``lcp``, the longest common prefix in bits of
 every adjacent pair.  ``_sorted_prefixes`` builds both.
 
 The rows keep the table's packed layout (``BooleanFunction.packed_rows``:
-MSB first, zero-padded to a whole byte), so that sorting them as byte
-strings sorts them lexicographically.  Under the identity ordering the sort
-reads the stored table, with no copy when every input is active; rows of at
-most 64 columns under another ordering are repacked with their columns
-reordered, and sorted the same way.
+MSB first, zero-padded to a whole byte).  A row of at most 64 columns (at
+most 8 packed bytes) is read as one unsigned integer, its bytes most
+significant first (``_row_keys``: uint32 for at most 4 bytes, uint64
+otherwise), so one stable argsort of the keys sorts the rows
+lexicographically, and two adjacent rows first differ at the leading bit of
+their keys' XOR.  Wider rows are sorted as byte strings, which compares
+them lexicographically too, and compared a byte at a time.  Under the
+identity ordering the sort reads the stored table, with no copy when every
+input is active; rows of at most 64 columns under another ordering are
+repacked with their columns reordered, and sorted as keys.
 
 Wider rows under any other ordering are read only where they differ.  A
 column permutation keeps equal rows equal and distinct rows distinct, so
@@ -20,7 +25,8 @@ of equal rows.  One row per class is then sorted by MSD radix refinement
 gathers the next 64 columns of the ordering, as one uint64 key, for the
 rows not yet apart from all others, so that a row stops being read once it
 is alone.  Rows that stay together over many columns are finished by
-repacking their remaining columns.  Both paths give the same two arrays.
+repacking their remaining columns, sorted as keys once at most 64 are
+left.  Both paths give the same two arrays.
 """
 
 from __future__ import annotations
@@ -57,11 +63,45 @@ def _repacked(f: BooleanFunction, xs, cols: np.ndarray) -> np.ndarray:
 
 
 def _bit_lengths(words: np.ndarray) -> np.ndarray:
-    """The bit length of every uint64 in ``words``: frexp's exponent of each
-    32-bit half, which float64 holds exactly."""
+    """The bit length of every uint32 or uint64 in ``words``: frexp's
+    exponent of the word, or of each 32-bit half of a uint64, which float64
+    holds exactly."""
+    if words.dtype == np.uint32:
+        return np.frexp(words.astype(np.float64))[1]
     high = np.frexp((words >> np.uint64(32)).astype(np.float64))[1]
     low = np.frexp((words & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
     return np.where(high > 0, high + 32, low)
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Packed rows of at most 8 bytes, each as one unsigned integer whose
+    bytes, most significant first, are the row's: uint32 for rows of at most
+    4 bytes, uint64 otherwise.  Comparing keys compares rows
+    lexicographically."""
+    width = rows.shape[1]
+    key = rows[:, 0].astype(np.uint32 if width <= 4 else np.uint64)
+    for j in range(1, width):
+        key <<= 8
+        key |= rows[:, j]
+    return key
+
+
+#: ``_key_prefixes`` works on this many pairs at a time, so that its
+#: temporaries stay small.
+_KEY_SLICE = 1 << 16
+
+
+def _key_prefixes(keys: np.ndarray, bits: int, y_size: int) -> np.ndarray:
+    """The longest common prefix, in bits, of every pair of adjacent
+    ``keys`` (``_row_keys`` of rows of ``bits`` packed bits); ``y_size``
+    for equal rows.  Int32, one per pair.  A pair's first differing bit is
+    the leading bit of their XOR, and the zero padding past column y_size
+    never differs."""
+    lcp = np.empty(max(keys.size - 1, 0), dtype=np.int32)
+    for a in range(0, lcp.size, _KEY_SLICE):
+        diff = keys[1:][a : a + _KEY_SLICE] ^ keys[:-1][a : a + _KEY_SLICE]
+        np.subtract(bits, _bit_lengths(diff), out=lcp[a : a + _KEY_SLICE])
+    return np.minimum(lcp, y_size, out=lcp)
 
 
 def _common_prefixes(rows: np.ndarray, order: np.ndarray, y_size: int) -> np.ndarray:
@@ -73,16 +113,6 @@ def _common_prefixes(rows: np.ndarray, order: np.ndarray, y_size: int) -> np.nda
     width = rows.shape[1]
     step = max(1, (1 << 19) // width)
     for a in range(0, lcp.size, step):
-        if width <= 8:
-            # A row of at most 8 bytes is one big-endian word, and a pair's
-            # first differing bit is the leading bit of their XOR.
-            words = np.zeros((min(step + 1, order.size - a), 8), dtype=np.uint8)
-            words[:, :width] = np.take(rows, order[a : a + step + 1], axis=0)
-            words = words.view(">u8")[:, 0].astype(np.uint64)
-            words[:-1] ^= words[1:]
-            diff = words[:-1]
-            lcp[a : a + step] = np.where(diff != 0, 64 - _bit_lengths(diff), y_size)
-            continue
         # np.take gathers rows of a few bytes much faster than fancy indexing.
         diff = np.take(rows, order[1:][a : a + step], axis=0)
         diff ^= np.take(rows, order[:-1][a : a + step], axis=0)
@@ -94,6 +124,27 @@ def _common_prefixes(rows: np.ndarray, order: np.ndarray, y_size: int) -> np.nda
         bits = np.frexp(first.astype(np.float32))[1]
         lcp[a : a + step] = np.where(first != 0, 8 * byte + 8 - bits, y_size)
     return lcp
+
+
+def _sort_rows(rows: np.ndarray, y_size: int, group=None):
+    """The stable lexicographic order of the packed ``rows`` of ``y_size``
+    columns, and the longest common prefix of every adjacent pair (int32,
+    ``y_size`` for equal rows).  With ``group`` (nondecreasing, one id per
+    row), the order is by group first and the prefixes across two groups are
+    meaningless.  Rows of at most 8 bytes sort as ``_row_keys``; wider rows
+    as byte strings, which compare lexicographically too."""
+    if rows.shape[1] <= 8:
+        bits = 8 * rows.shape[1]
+        key = _row_keys(rows)
+        del rows
+        # lexsort's last key is its primary one.
+        order = np.argsort(key, kind="stable") if group is None else np.lexsort((key, group))
+        key = key[order]
+        return order, _key_prefixes(key, bits, y_size)
+    order = np.argsort(rows.view(f"S{rows.shape[1]}")[:, 0], kind="stable")
+    if group is not None:
+        order = order[np.argsort(group[order], kind="stable")]
+    return order, _common_prefixes(rows, order, y_size)
 
 
 #: The permuted row reader gathers this many columns per round, as one uint64.
@@ -169,12 +220,10 @@ def _refine_distinct(f: BooleanFunction, xr: np.ndarray, perm: np.ndarray):
         # row, and a repack costs about a quarter as much per column.
         if at.size and (before - remaining) * left < 4 * _CHUNK * remaining:
             rows = rank[at]
-            tail = _repacked(f, xr[rows], perm[c + _CHUNK :])
-            by_tail = np.argsort(tail.view(f"S{tail.shape[1]}")[:, 0], kind="stable")
-            by_tail = by_tail[np.argsort(group[by_tail], kind="stable")]
+            by_tail, tail_lcp = _sort_rows(_repacked(f, xr[rows], perm[c + _CHUNK :]), left, group)
             rank[at] = rows[by_tail]
             same = np.flatnonzero(group[1:] == group[:-1])
-            lcp[at[same]] = c + _CHUNK + _common_prefixes(tail, by_tail, left)[same]
+            lcp[at[same]] = c + _CHUNK + tail_lcp[same]
             break
     return rank, lcp
 
@@ -187,15 +236,11 @@ def _sorted_prefixes(f: BooleanFunction, xs, perm: np.ndarray):
     """
     y_size = perm.size
     if y_size <= _CHUNK or np.array_equal(perm, np.arange(y_size)):
-        rows = _packed_rows(f, xs, perm)
-        # Sorting the rows as byte strings sorts them lexicographically.
-        order = np.argsort(rows.view(f"S{rows.shape[1]}")[:, 0], kind="stable")
-        return order, _common_prefixes(rows, order, y_size)
+        return _sort_rows(_packed_rows(f, xs, perm), y_size)
     # The classes of equal rows, each a run of ``order`` in x order.
-    rows = f.packed_rows() if xs is None else f.packed_rows()[xs]
-    order = np.argsort(rows.view(f"S{rows.shape[1]}")[:, 0], kind="stable")
-    first = np.flatnonzero(np.append(True, _common_prefixes(rows, order, y_size) < y_size))
-    del rows
+    order, lcp = _sort_rows(f.packed_rows() if xs is None else f.packed_rows()[xs], y_size)
+    first = np.flatnonzero(np.append(True, lcp < y_size))
+    del lcp
     reps = order[first]
     rank, class_lcp = _refine_distinct(f, reps if xs is None else xs[reps], perm)
     # Every class in its sorted place, with |Y| between its members.

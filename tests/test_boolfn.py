@@ -387,6 +387,18 @@ def test_uniform_accepts_numpy_integer_sizes():
     assert InputDistribution.uniform(np.int32(4)).weights.tolist() == [0.25] * 4
 
 
+@pytest.mark.parametrize("x_size", [1, 3, 7, 1000, 12345, 1 << 20])
+def test_uniform_weights_equal_the_generic_constructor_bitwise(x_size):
+    # uniform builds its weights directly; they must be the ones the
+    # checking constructor makes from the same full array.
+    got = InputDistribution.uniform(x_size)
+    want = InputDistribution(np.full(x_size, 1.0 / x_size), label="uniform")
+    assert got.label == want.label
+    assert got.weights.dtype == want.weights.dtype and got.weights.shape == want.weights.shape
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert not got.weights.flags.writeable
+
+
 def test_distribution_rejects_an_overflowing_total():
     with pytest.raises(ArgumentError, match="overflow"):
         InputDistribution([1e308, 1e308])

@@ -104,6 +104,16 @@ def test_bound_reports_a_negative_zero_eps_as_zero(capsys):
     assert '"eps": 0.0' in out and "-0.0" not in out
 
 
+@pytest.mark.parametrize("bias", ["-0.0", "-0.0,-0.0"])
+def test_prbox_bias_reports_a_negative_zero_bias_as_zero(capsys, bias):
+    code, out, _ = run_cli(
+        capsys, "prbox", "bias", "--family", "ip", "--n", "2", f"--bias={bias}", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["biases"] == [0.0, 0.0]
+    assert "-0.0" not in out
+
+
 def test_bound_exhaustive_refusal_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "bound", "--family", "index", "--n", "17", "--ordering", "exhaustive"

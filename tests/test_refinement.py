@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,11 +30,14 @@ from icbounds import (
 )
 from icbounds.icbound import (
     _NODES_PER_DEPTH,
+    _PHI_SLICE,
+    _cells_by_depth,
     _previous_smaller,
     _RefinementTrace,
     _split,
     _support,
 )
+from icbounds import rowsort
 from icbounds.rowsort import _common_prefixes, _packed_rows, _sorted_prefixes
 
 EPS = st.floats(min_value=0.0, max_value=0.499, allow_nan=False)
@@ -389,8 +393,11 @@ def test_common_prefixes_on_word_boundaries(y_size):
         b[d:] ^= 1
         f = BooleanFunction(2, y_size, np.concatenate([a, b]))
         assert _common_prefixes(_packed_rows(f, None, np.arange(y_size)), np.arange(2), y_size).tolist() == [d]
+        # Rows of at most 64 columns take the integer-key path.
+        assert _sorted_prefixes(f, None, np.arange(y_size))[1].tolist() == [d]
     same = BooleanFunction(2, y_size, np.ones(2 * y_size, dtype=np.uint8))
     assert _common_prefixes(_packed_rows(same, None, np.arange(y_size)), np.arange(2), y_size).tolist() == [y_size]
+    assert _sorted_prefixes(same, None, np.arange(y_size))[1].tolist() == [y_size]
 
 
 @st.composite
@@ -469,6 +476,105 @@ def test_permuted_reader_on_families(family, strategy):
                 == compute_bound(permuted, dist, tuple(range(f.y_size)), channel).terms)
 
 
+def byte_sorted_prefixes(rows: np.ndarray, y_size: int):
+    """The reader rows of at most 64 columns had before they were sorted as
+    integer keys: a stable byte-string sort of the packed rows, and the
+    common prefix of each adjacent pair from its first differing byte."""
+    order = np.argsort(rows.view(f"S{rows.shape[1]}")[:, 0], kind="stable")
+    diff = rows[order[1:]] ^ rows[order[:-1]]
+    byte = (diff != 0).argmax(axis=1)
+    first = np.take_along_axis(diff, byte[:, None], axis=1)[:, 0]
+    bits = np.frexp(first.astype(np.float32))[1]
+    return order, np.where(first != 0, 8 * byte + 8 - bits, y_size).astype(np.int32)
+
+
+#: Widths where the key changes from uint32 to uint64 (32/33), where a
+#: uint64 no longer converts to float64 exactly (53/54), and byte and word
+#: edges.
+KEY_EDGES = [1, 8, 9, 24, 25, 32, 33, 53, 54, 63, 64]
+
+
+@st.composite
+def narrow_tables(draw):
+    """A table of at most 64 columns, identity or random ordering, and a
+    distribution that may give inputs zero weight.  Read in the ordering,
+    the rows are random, copies of a few random rows, or rows that leave a
+    shared random row at the first column, at one random depth or never, so
+    that pairs differ first at every bit of the key.  The rows that leave go on at random or
+    as the complement of the shared row: next to the shared row, such a
+    row's XOR with it is all ones from that depth on, the value that rounds
+    up when a uint64 above 2**53 is converted to float64."""
+    y_size = draw(st.one_of(st.sampled_from(KEY_EDGES), st.integers(1, 64)))
+    x_size = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "repeated", "branching"]))
+    if kind == "random":
+        read = rng.integers(0, 2, (x_size, y_size), dtype=np.uint8)
+    elif kind == "repeated":
+        distinct = rng.integers(0, 2, (draw(st.integers(1, 5)), y_size), dtype=np.uint8)
+        read = distinct[rng.integers(0, distinct.shape[0], x_size)]
+    else:
+        base = rng.integers(0, 2, y_size, dtype=np.uint8)
+        read = rng.integers(0, 2, (x_size, y_size), dtype=np.uint8)
+        # Each row leaves at the first column, at one random depth, or never.
+        depth = np.array([0, rng.integers(0, y_size + 1), y_size])[rng.integers(0, 3, x_size)]
+        shared = np.arange(y_size) < depth[:, None]
+        read[shared] = np.broadcast_to(base, read.shape)[shared]
+        leave = np.flatnonzero(depth < y_size)
+        read[leave, depth[leave]] = 1 - base[depth[leave]]
+        if draw(st.booleans()):
+            read[~shared] = np.broadcast_to(1 - base, read.shape)[~shared]
+    weights = rng.random(x_size)
+    if draw(st.booleans()):
+        weights[rng.random(x_size) < 0.3] = 0.0
+        weights[int(rng.integers(0, x_size))] += 0.5
+    perm = np.arange(y_size) if draw(st.booleans()) else rng.permutation(y_size)
+    table = np.empty_like(read)
+    table[:, perm] = read
+    return table, InputDistribution(weights), perm
+
+
+@settings(max_examples=300, deadline=None)
+@given(narrow_tables())
+def test_key_path_equals_the_byte_string_sort(case):
+    table, dist, perm = case
+    f = BooleanFunction(*table.shape, table)
+    xs, _ = _support(f, dist)
+    order, lcp = _sorted_prefixes(f, xs, perm)
+    read = table[:, perm] if xs is None else table[xs][:, perm]
+    want_order, want_lcp = byte_sorted_prefixes(np.ascontiguousarray(np.packbits(read, axis=1)), f.y_size)
+    assert np.array_equal(order, want_order)
+    assert lcp.dtype == np.int32 and np.array_equal(lcp, want_lcp)
+
+
+@pytest.mark.parametrize("y_size", [65, 72, 100, 127, 128])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_key_path_sorts_a_narrow_radix_tail(monkeypatch, y_size, zeros):
+    # One-hot rows plus a random first column stay in two groups after the
+    # first 64 columns, so the permuted reader repacks the at most 64
+    # columns left and sorts them as integer keys within each group.
+    rng = np.random.default_rng(y_size)
+    x_size = 400
+    perm = rng.permutation(y_size)
+    table = np.zeros((x_size, y_size), dtype=np.uint8)
+    table[np.arange(x_size), rng.integers(0, y_size, x_size)] = 1
+    table[:, perm[0]] = rng.integers(0, 2, x_size)
+    weights = rng.random(x_size)
+    if zeros:
+        weights[rng.random(x_size) < 0.3] = 0.0
+    f = BooleanFunction(x_size, y_size, table)
+    xs, _ = _support(f, InputDistribution(weights))
+    widths = []
+    real = rowsort._row_keys
+    monkeypatch.setattr(rowsort, "_row_keys", lambda rows: widths.append(rows.shape[1]) or real(rows))
+    order, lcp = _sorted_prefixes(f, xs, perm)
+    assert widths == [-(-(y_size - 64) // 8)]
+    read = table[:, perm] if xs is None else table[xs][:, perm]
+    want_order, want_lcp = reference_sorted_prefixes(read)
+    assert np.array_equal(order, want_order)
+    assert np.array_equal(lcp, want_lcp)
+
+
 def pointer_jumping_trace(f, dist, perm):
     """(step, q, mass, offsets) as the trace built them with pointer jumping
     alone: every node's cell bounds in sort order from ``_previous_smaller``,
@@ -541,6 +647,92 @@ def test_family_traces_equal_pointer_jumping_bitwise(family):
     assert trace.offsets == offsets
     for got, want in ((trace.step, step), (trace.q, q), (trace.mass, mass)):
         assert got.tobytes() == want.tobytes()
+
+
+def edges_gather_terms(f, dist, perm, channel):
+    """The step terms as the trace computed them when it mapped every
+    node's boundaries to sorted rows through an int32 ``edges`` array and
+    gathered the full prefix sum there (three gathers: lo, hi, node)."""
+    xs, wts = _support(f, dist)
+    y_size = len(perm)
+    order, lcp = _sorted_prefixes(f, xs, np.asarray(perm, dtype=np.int64))
+    cum = np.zeros(order.size + 1)
+    np.cumsum(wts[order], out=cum[1:])
+    edges = np.zeros(np.count_nonzero(lcp < y_size) + 2, dtype=np.int32)
+    edges[1:-1] = np.flatnonzero(lcp < y_size)
+    edges[1:-1] += 1
+    edges[-1] = cum.size - 1
+    depth = lcp[edges[1:-1] - 1]
+    counts = np.bincount(depth, minlength=y_size)
+    offsets = [0, *np.cumsum(counts).tolist()]
+    node = np.argsort(depth.astype(np.uint16) if y_size < 1 << 16 else depth, kind="stable")
+    node += 1
+    if depth.size >= _NODES_PER_DEPTH * np.count_nonzero(counts):
+        lo, hi = _cells_by_depth(node, offsets)
+    else:
+        pair = node - 1
+        lo = _previous_smaller(depth)[pair]
+        hi = depth.size + 1 - _previous_smaller(depth[::-1])[::-1][pair]
+    lo, hi, node = edges[lo], edges[hi], edges[node]
+    mass = cum[hi] - cum[lo]
+    q = cum[hi] - cum[node]
+    np.divide(q, mass, out=q, where=mass > 0.0)
+    step = np.repeat(np.arange(y_size, dtype=np.int32), counts)
+    first = np.ones(step.size, dtype=bool)
+    first[1:] = (step[1:] != step[:-1]) | (q[1:] != q[:-1])
+    first = np.flatnonzero(first)
+    step, q, mass = step[first], q[first], np.add.reduceat(mass, first)
+    phi = np.concatenate([[], *(channel.phi(q[a : a + _PHI_SLICE]) for a in range(0, q.size, _PHI_SLICE))])
+    terms = np.bincount(step, weights=mass * phi, minlength=y_size)
+    return terms.astype(np.float64, copy=False).tolist()
+
+
+def repeated_rows(seed, size, classes):
+    """A size x size table of copies of ``classes`` distinct random rows
+    under a random ordering: few nodes, a deep and sparse trie."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 2, (classes, size), dtype=np.uint8)
+    f = BooleanFunction(size, size, rows[rng.permutation(np.arange(size) % classes)])
+    return f, tuple(int(v) for v in rng.permutation(size))
+
+
+@pytest.mark.parametrize("make", [
+    # Dominated by equal rows.
+    lambda: repeated_rows(1, 512, 40),
+    lambda: repeated_rows(2, 300, 3),
+    lambda: repeated_rows(3, 64, 10),
+    # Every row distinct.
+    lambda: (build_family(Index(12)), tuple(range(12))),
+    lambda: (build_family(Index(10)), tuple(int(v) for v in np.random.default_rng(4).permutation(10))),
+    lambda: (build_family(InnerProduct(6)), standard_ordering(InnerProduct(6)).perm),
+])
+@pytest.mark.parametrize("weights", ["uniform", "random", "zeros"])
+def test_trace_terms_equal_the_edges_gather_bitwise(make, weights):
+    f, perm = make()
+    rng = np.random.default_rng(f.x_size)
+    w = rng.random(f.x_size)
+    if weights == "zeros":
+        w[rng.random(f.x_size) < 0.3] = 0.0
+    dist = InputDistribution.uniform(f.x_size) if weights == "uniform" else InputDistribution(w)
+    for channel in (Deterministic(), Symmetric(0.11), Asymmetric(0.05, 0.2)):
+        got = compute_bound(f, dist, perm, channel).terms
+        want = edges_gather_terms(f, dist, perm, channel)
+        assert [t.hex() for t in got] == [t.hex() for t in want]
+
+
+def test_index16_trace_memory_stays_below_the_edges_gather():
+    # 2 952 523 bytes: the tracemalloc peak of this call when the rows were
+    # sorted as byte strings and the trace gathered edges (CPython 3.11.7,
+    # numpy 2.4.6, x86_64).
+    f = build_family(Index(16))
+    dist, perm = InputDistribution.uniform(f.x_size), standard_ordering(Index(16)).perm
+    tracemalloc.start()
+    try:
+        compute_bound(f, dist, perm, Symmetric(0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_952_523
 
 
 def test_previous_smaller_matches_a_stack_scan():
