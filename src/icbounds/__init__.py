@@ -41,6 +41,7 @@ from .errors import (
     CensusMismatchError,
     ExhaustiveSearchRefusal,
     FamilyParameterError,
+    GreedySearchRefusal,
     HierarchyViolationError,
     IcboundsError,
     TableSizeRefusal,

@@ -2,11 +2,12 @@
 
 Subcommands: ``bound``, ``classify``, ``prbox decompose|bias|violation|maxbias``,
 ``families``, ``oracle-check``.  Exit codes: 0 success, 2 argument errors,
-3 computation refusals (exhaustive search or family table too large, census
-mismatch), 1 oracle-check deviation beyond tolerance.  Text and CSV numbers
-carry nine decimal places and JSON numbers are ``round(x, 9)``;
-configuration comes from flags only, so invocations are reproducible from
-regression logs.  ``--threads`` is accepted and has no effect.
+3 computation refusals (exhaustive or greedy search or family table too
+large, census mismatch), 1 oracle-check deviation beyond tolerance.  Text
+and CSV numbers carry nine decimal places and JSON numbers are
+``round(x, 9)``; configuration comes from flags only, so invocations are
+reproducible from regression logs.  ``--threads`` is accepted and has no
+effect.
 
 ``--family`` takes one flag per parameter of the family's class, and
 ``families`` prints what the classes in ``boolfn.FAMILIES`` declare.  Every
@@ -30,6 +31,7 @@ from .errors import (
     ArgumentError,
     CensusMismatchError,
     ExhaustiveSearchRefusal,
+    GreedySearchRefusal,
     HierarchyViolationError,
     IcboundsError,
     TableSizeRefusal,
@@ -503,10 +505,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_bias_values(argv: list) -> list:
+    """``argv`` with every ``--bias VALUE`` whose value starts with a minus
+    sign and a digit or a point joined into ``--bias=VALUE``.  argparse takes
+    a spaced value that starts with '-' for an option unless it is one plain
+    number, so a list such as ``--bias -0.5,0.5`` would be refused."""
+    out = []
+    for value in argv:
+        negative = isinstance(value, str) and len(value) > 1 and value[0] == "-"
+        if out and out[-1] == "--bias" and negative and value[1] in "0123456789.":
+            out[-1] = f"--bias={value}"
+        else:
+            out.append(value)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_bias_values(sys.argv[1:] if argv is None else list(argv)))
         # violation and maxbias take no --table and default it to None.
         if getattr(args, "needs_source", False) and (args.family is None) == (args.table is None):
             parser.error("exactly one of --family or --table is required")
@@ -514,7 +531,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ExhaustiveSearchRefusal, TableSizeRefusal) as exc:
+    except (ExhaustiveSearchRefusal, GreedySearchRefusal, TableSizeRefusal) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
     except (CensusMismatchError, HierarchyViolationError) as exc:

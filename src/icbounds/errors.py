@@ -25,6 +25,10 @@ class ExhaustiveSearchRefusal(IcboundsError, RuntimeError):
     """Exhaustive ordering search was refused because of its cost."""
 
 
+class GreedySearchRefusal(IcboundsError, RuntimeError):
+    """Greedy ordering search was refused because of its cost."""
+
+
 class TableSizeRefusal(IcboundsError, RuntimeError):
     """A built-in family's truth table was refused because of its size."""
 

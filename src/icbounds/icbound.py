@@ -43,10 +43,15 @@ The trace does not depend on the channel; only phi does.  ``compute_bound``
 prices one trace, and pricing one table under many channels -- the
 bisection over the error rate in ``prbox.max_bias`` -- evaluates phi again
 over the same merged entries and sums every step's term in one pass.
-The ordering searches refine one column at a time with the cell-splitting
-step ``_split`` and price every candidate column of a partition at once
-(``_price``); exhaustive search is a dynamic program over the subsets of Y,
-since the partition after a prefix depends only on the set of columns used.
+Greedy search refines one column at a time with the cell-splitting step
+``_split`` and prices every candidate column of a partition at once
+(``_price``, in column slices under the byte budget ``_SEARCH_BYTES``).
+Exhaustive search is a dynamic program over the subsets of Y, since the
+partition after a prefix depends only on the set of columns used.  It
+prices all subsets of one size together, in chunks under the same budget:
+each active row is read once as an integer key, so the partition of a
+subset S is the classes of ``key & S``.  The winning permutation is then
+rebuilt with ``_split`` and ``_price``.
 
 Channel semantics: the success constraint is taken at equality -- the guess
 is correct with probability exactly one minus the stated error rate,
@@ -77,7 +82,7 @@ from .boolfn import (
     _integer_entries,
     _is_integer,
 )
-from .errors import ArgumentError, ExhaustiveSearchRefusal
+from .errors import ArgumentError, ExhaustiveSearchRefusal, GreedySearchRefusal
 from .infocalc import (
     TOLERANCE,
     JointTable,
@@ -85,7 +90,7 @@ from .infocalc import (
     binary_entropy_vec,
     conditional_mutual_information,
 )
-from .rowsort import _sorted_prefixes
+from .rowsort import _row_keys, _sorted_prefixes
 
 #: Recorded in every report: how the guess channel is pinned down.
 CHANNEL_SEMANTICS = (
@@ -99,6 +104,18 @@ EXHAUSTIVE_LIMIT = 16
 #: Exhaustive ordering search refuses beyond this |Y| even when overridden:
 #: it keeps one float per subset of Y (128 MiB at |Y| = 24).
 EXHAUSTIVE_HARD_LIMIT = 24
+
+#: Greedy ordering search refuses when |X active| * |Y|**2, the (input,
+#: column) pairs it prices over all its steps, is above this: Equality(10)
+#: (2**30) takes about 17 s.
+GREEDY_LIMIT = 1 << 30
+
+#: The ordering searches keep their temporaries near this many bytes:
+#: exhaustive search prices each level's subsets in chunks, and ``_price``
+#: its candidate columns in slices, counting ``_ENTRY_BYTES`` for every
+#: (subset, input, column) it prices at once.
+_SEARCH_BYTES = 1 << 26
+_ENTRY_BYTES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -562,27 +579,47 @@ def _columns(f: BooleanFunction, xs) -> np.ndarray:
 
 
 def _price(
-    labels: np.ndarray, ncells: int, wts: np.ndarray, cols: np.ndarray, channel: ChannelModel
+    labels: np.ndarray,
+    ncells: int,
+    wts: np.ndarray,
+    cols: np.ndarray,
+    ys: list,
+    channel: ChannelModel,
 ) -> np.ndarray:
-    """The next step's term for every candidate column of ``cols`` at once.
+    """The next step's term for every candidate column ``cols[:, y]``, y in ``ys``.
 
     One bincount over (cell, candidate) pairs gives every cell's ones mass for
     every candidate, and one phi call prices them all.  Each term is the dot
     product of the cell masses with a contiguous row of the transposed phi
     matrix, so it equals, bit for bit, pricing that column on its own (a
-    strided column would be summed in another order).
+    strided column would be summed in another order).  The candidates are
+    priced in slices of at most ``_SEARCH_BYTES / _ENTRY_BYTES`` (input,
+    candidate) pairs; every bin still adds its weights in x order, so the
+    slicing changes no bit of any term.
     """
-    m = cols.shape[1]
     mass = np.bincount(labels, weights=wts, minlength=ncells)
-    key = (labels[:, None] * m + np.arange(m)).ravel()
-    ones = np.bincount(key, weights=(wts[:, None] * cols).ravel(), minlength=ncells * m)
-    q = np.clip(ones.reshape(ncells, m) / mass[:, None], 0.0, 1.0)
-    phi = np.ascontiguousarray(channel.phi(q).T)
-    return np.array([mass @ row for row in phi])
+    width = max(1, _SEARCH_BYTES // (_ENTRY_BYTES * labels.size))
+    terms = []
+    for a in range(0, len(ys), width):
+        part = cols[:, ys[a : a + width]]
+        m = part.shape[1]
+        key = (labels[:, None] * m + np.arange(m)).ravel()
+        ones = np.bincount(key, weights=(wts[:, None] * part).ravel(), minlength=ncells * m)
+        q = np.clip(ones.reshape(ncells, m) / mass[:, None], 0.0, 1.0)
+        phi = np.ascontiguousarray(channel.phi(q).T)
+        terms += [mass @ row for row in phi]
+    return np.array(terms)
 
 
 def _greedy_perm(f: BooleanFunction, dist: InputDistribution, channel: ChannelModel) -> tuple:
     xs, wts = _support(f, dist)
+    work = wts.size * f.y_size**2
+    if work > GREEDY_LIMIT:
+        raise GreedySearchRefusal(
+            f"greedy ordering over {wts.size} active inputs and |Y| = {f.y_size} means "
+            f"pricing |X| * |Y|**2 = {work} (input, column) pairs; "
+            f"at most {GREEDY_LIMIT} is supported"
+        )
     cols = _columns(f, xs)
     labels = np.zeros(wts.size, dtype=np.int64)
     ncells = 1
@@ -590,7 +627,7 @@ def _greedy_perm(f: BooleanFunction, dist: InputDistribution, channel: ChannelMo
     perm = []
     while unused:
         # argmax keeps the first of equal terms: ties go to the smallest index.
-        best = unused[int(np.argmax(_price(labels, ncells, wts, cols[:, unused], channel)))]
+        best = unused[int(np.argmax(_price(labels, ncells, wts, cols, unused, channel)))]
         perm.append(best)
         unused.remove(best)
         labels, sizes = _split(labels, cols[:, best], ncells)
@@ -610,13 +647,19 @@ def _exhaustive_perm(
     so total(perm) = sum_i T(S_i, y_i) with T(S, y) the term of column y on
     the partition of S, and the best suffix value V[S] = max over y not in S
     of T(S, y) + V[S + {y}] is a longest path over the subsets of Y (the
-    Held-Karp recursion).  Subsets are visited depth first, each refined from
-    itself minus its lowest column, children before parents; that order is
-    decreasing as bitmasks, so every superset's V is known when a subset
-    needs it, and only one chain of partitions is alive.  Each subset costs
-    one ``_price`` pass over its unused columns: 2**|Y| passes in all.  The
-    permutation is then rebuilt forward, taking at each step the smallest y
-    whose T + V comes within 1e-12 * max(1, |V[S]|) of V[S].
+    Held-Karp recursion).  Every subset of one level (one size |S|) needs
+    only the V of the level above, so the levels are priced from |Y| - 1
+    down to 0, all subsets of a level together, in chunks of at most
+    ``_SEARCH_BYTES / _ENTRY_BYTES`` (subset, input, free column) triples.
+    Each active row is read once as an integer key, so the partition of S is
+    the classes of ``key & S``: one sort numbers the (subset, cell) pairs of
+    a chunk, one bincount in x order gives every pair's ones mass for every
+    free column, one phi call prices them all and one bincount sums each
+    T(S, y).  Cells of one input are pure under every column and are left
+    out, so V can differ from pricing every cell by rounding alone, far
+    below the tie tolerance.  The permutation is then rebuilt forward with
+    ``_price``, taking at each step the smallest y whose T + V comes within
+    1e-12 * max(1, |V[S]|) of V[S].
     """
     y_size = f.y_size
     if y_size > EXHAUSTIVE_LIMIT and not allow_big:
@@ -631,25 +674,33 @@ def _exhaustive_perm(
             f"2**{y_size} subsets of Y; at most |Y| = {EXHAUSTIVE_HARD_LIMIT} is supported"
         )
     xs, wts = _support(f, dist)
-    cols = _columns(f, xs)
-    full = (1 << y_size) - 1
-    value = np.zeros(full + 1)
+    rows = f.packed_rows()
+    # Bit y_size - 1 - y of a key, and of a subset, stands for column y.
+    keys = _row_keys(rows if xs is None else rows[xs]) >> np.uint32(8 * rows.shape[1] - y_size)
+    # ones[b]: every input's weight where its column y_size - 1 - b is 1.
+    ones = ((keys >> np.arange(y_size, dtype=np.uint32)[:, None]) & 1) * wts
+    value = np.zeros(1 << y_size)
+    subsets = np.arange(1 << y_size, dtype=np.uint32)
+    level = np.bitwise_count(subsets)
+    triples = _SEARCH_BYTES // (_ENTRY_BYTES * wts.size)
+    for size in reversed(range(y_size)):
+        free = y_size - size
+        # Whole subsets per chunk while one fits, else one subset and a
+        # slice of its free columns at a time.
+        chunk, width = max(1, triples // free), max(1, min(free, triples))
+        batch = subsets[level == size]
+        for a in range(0, batch.size, chunk):
+            s = batch[a : a + chunk]
+            value[s] = _level_values(s, keys, wts, ones, value, free, width, channel)
 
     def continuations(s: int, labels: np.ndarray, ncells: int):
         """The columns not in S, and T(S, y) + V[S + {y}] for each of them."""
-        ys = [y for y in range(y_size) if not s >> y & 1]
-        terms = _price(labels, ncells, wts, cols[:, ys], channel)
-        return ys, terms + value[[s | 1 << y for y in ys]]
+        ys = [y for y in range(y_size) if not s >> (y_size - 1 - y) & 1]
+        terms = _price(labels, ncells, wts, cols, ys, channel)
+        return ys, terms + value[[s | 1 << (y_size - 1 - y) for y in ys]]
 
-    def visit(s: int, labels: np.ndarray, ncells: int) -> None:
-        for y in reversed(range((s & -s).bit_length() - 1 if s else y_size)):
-            child, sizes = _split(labels, cols[:, y], ncells)
-            visit(s | 1 << y, child, sizes.size)
-        if s != full:
-            value[s] = continuations(s, labels, ncells)[1].max()
-
-    visit(0, np.zeros(wts.size, dtype=np.int64), 1)
-
+    cols = _columns(f, xs)
+    full = (1 << y_size) - 1
     s, labels, ncells = 0, np.zeros(wts.size, dtype=np.int64), 1
     perm = []
     while s != full:
@@ -659,8 +710,58 @@ def _exhaustive_perm(
         perm.append(best)
         labels, sizes = _split(labels, cols[:, best], ncells)
         ncells = sizes.size
-        s |= 1 << best
+        s |= 1 << (y_size - 1 - best)
     return tuple(perm)
+
+
+def _level_values(
+    s: np.ndarray,
+    keys: np.ndarray,
+    wts: np.ndarray,
+    ones: np.ndarray,
+    value: np.ndarray,
+    free: int,
+    width: int,
+    channel: ChannelModel,
+) -> np.ndarray:
+    """V of every subset in ``s``, all of one level with ``free`` columns
+    left, from the V of the level above: the subsets' free columns are
+    priced ``width`` at a time."""
+    count, shift = wts.size, len(ones)
+    # The cell of every (subset, input) pair is its key masked to the
+    # subset; one sort numbers the cells (subset major).
+    cell = (keys & s[:, None]).astype(np.int64)
+    cell |= np.arange(s.size, dtype=np.int64)[:, None] << shift
+    pairs, cell, sizes = np.unique(cell.ravel(), return_inverse=True, return_counts=True)
+    # A cell of one input is pure under every column, so its terms are 0 up
+    # to rounding: only the inputs of larger cells are priced, in (subset,
+    # x) order, so that every bin below adds its weights in x order.
+    entry = np.flatnonzero(sizes[cell] > 1)
+    larger = sizes > 1
+    owner = pairs[larger] >> shift
+    cell = (np.cumsum(larger) - 1)[cell[entry]]
+    sub, x = np.divmod(entry, count)
+    mass = np.bincount(cell, weights=wts[x], minlength=owner.size)
+    # The free bits of every subset, in increasing order.
+    free_bits = np.nonzero(((s[:, None] >> np.arange(shift, dtype=np.uint32)) & 1) == 0)[1]
+    free_bits = free_bits.reshape(s.size, free)
+    best = np.full(s.size, -np.inf)
+    for a in range(0, free, width):
+        part = free_bits[:, a : a + width]
+        m = part.shape[1]
+        # Ones mass of every (cell, free column), its inputs in x order.
+        key = (cell[:, None] * m + np.arange(m)).ravel()
+        weights = ones[part[sub], x[:, None]].ravel()
+        q = np.bincount(key, weights=weights, minlength=owner.size * m).reshape(owner.size, m)
+        q = np.clip(q / mass[:, None], 0.0, 1.0)
+        term = channel.phi(q)
+        term *= mass[:, None]
+        slot = (owner[:, None] * m + np.arange(m)).ravel()
+        # With no cell of two inputs, bincount returns integer zeros.
+        total = value[s[:, None] | (np.uint32(1) << part.astype(np.uint32))]
+        total += np.bincount(slot, weights=term.ravel(), minlength=s.size * m).reshape(s.size, m)
+        np.maximum(best, total.max(axis=1), out=best)
+    return best
 
 
 _STRATEGIES = ("natural", "unit-first", "kint-proof", "greedy", "exhaustive")
@@ -685,13 +786,14 @@ def make_ordering(
                  convention), then the rest in decreasing order; needs ``k``
     greedy       repeatedly append the unused y maximizing the next step term
                  (ties to the smallest index); needs the distribution/channel.
-                 Each step prices all unused columns in one pass.
+                 Each step prices all unused columns in one pass.  Refuses
+                 when |X active| * |Y|**2 exceeds ``GREEDY_LIMIT``.
     exhaustive   the permutation maximizing the total, found by dynamic
-                 programming over the subsets of Y (2**|Y| pricing passes);
-                 among permutations whose totals agree with the maximum to
-                 within 1e-12 * max(1, |total|) per step, the lexicographically
-                 smallest.  Refuses |Y| > 16 unless ``allow_big_exhaustive`` is
-                 set, and |Y| > 24 in any case.
+                 programming over the subsets of Y, priced one batch per
+                 subset size; among permutations whose totals agree with
+                 the maximum to within 1e-12 * max(1, |total|) per step, the
+                 lexicographically smallest.  Refuses |Y| > 16 unless
+                 ``allow_big_exhaustive`` is set, and |Y| > 24 in any case.
 
     ``threads`` is accepted for compatibility and has no effect.
     """

@@ -494,3 +494,96 @@ def test_fuzzed_ordering_and_distribution_files_exit_cleanly(ordering, dist, cha
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in (0, 2, 3)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize(
+    "command, bias",
+    [
+        (["prbox", "bias", "--family", "ip", "--n", "2"], "-0.5,0.5"),
+        (["prbox", "bias", "--family", "disj", "--n", "2"], "-.25,0.5,-1"),
+        (["prbox", "violation", "--family", "ip", "--n", "2", "--m", "1"], "-0.5,0.5"),
+        (["prbox", "violation", "--family", "index", "--n", "2", "--m", "1"], "-0.9"),
+    ],
+)
+def test_prbox_takes_a_spaced_bias_list_that_starts_with_a_negative_value(capsys, fmt, command, bias):
+    joined = run_cli(capsys, *command, f"--bias={bias}", "--format", fmt)
+    spaced = run_cli(capsys, *command, "--bias", bias, "--format", fmt)
+    assert joined[0] == 0
+    assert spaced == joined
+
+
+def test_prbox_bias_value_that_is_an_option_is_still_refused(capsys):
+    code, _, err = run_cli(capsys, "prbox", "bias", "--family", "ip", "--n", "2", "--bias", "--format", "json")
+    assert code == 2
+    assert "--bias: expected one argument" in err
+
+
+def test_bound_greedy_refusal_exit_code(capsys):
+    code, _, err = run_cli(
+        capsys, "bound", "--family", "kint", "--n", "12", "--k", "6", "--ordering", "greedy"
+    )
+    assert code == 3
+    assert "4096 active inputs" in err
+    assert str(4096**3) in err
+
+
+NUMBER_TEXT = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.integers().map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.just(""),
+)
+# Sizes refused before any table is built; sizes that build are drawn up to n = 3.
+BAD_N = st.one_of(
+    st.integers(min_value=65).map(str),
+    st.integers(max_value=0).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.just(""),
+)
+BIASES = st.lists(st.floats(-1.0, 1.0).map(repr), min_size=1, max_size=3).map(",".join)
+
+
+@st.composite
+def search_and_prbox_argv(draw):
+    def value(valid, bad=NUMBER_TEXT):
+        # Mostly valid, so that most calls get as far as an answer.
+        return draw(valid if draw(st.integers(0, 4)) else bad)
+
+    family = draw(st.sampled_from(["index", "ip", "disj", "eq", "kint"]))
+    pairs = [
+        ("--family", family),
+        ("--n", value(st.sampled_from(["2", "3"] if family == "kint" else ["1", "2", "3"]), BAD_N)),
+        ("--k", value(st.just("1"))),
+    ]
+    if draw(st.booleans()):
+        command = ["bound"]
+        pairs += [
+            ("--ordering", draw(st.sampled_from(["exhaustive", "greedy"]))),
+            ("--channel", draw(st.sampled_from(["det", "sym", "asym"]))),
+            *((flag, value(st.sampled_from(["0.0", "0.1", "0.3"]))) for flag in ("--eps", "--eps1", "--eps2")),
+        ]
+    else:
+        command = ["prbox", draw(st.sampled_from(["bias", "violation"]))]
+        pairs.append(("--bias", value(BIASES, st.lists(NUMBER_TEXT, max_size=3).map(",".join))))
+        if command[1] == "violation":
+            pairs.append(("--m", value(st.sampled_from(["0", "1", "2"]))))
+    pairs.append(("--format", draw(st.sampled_from(["text", "json", "csv"]))))
+    # Flags in any order, each spaced or joined by '='.
+    argv = []
+    for flag, text in draw(st.permutations(pairs)):
+        argv += [f"{flag}={text}"] if draw(st.booleans()) else [flag, text]
+    return command + argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=search_and_prbox_argv())
+def test_fuzzed_search_and_prbox_argv_exit_cleanly(argv):
+    # Negative, huge, non-finite and empty values, flags in any order and in
+    # either form: every call ends in an answer (0), an argument error (2) or
+    # a refusal (3), and nothing escapes main().
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

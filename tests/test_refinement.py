@@ -15,6 +15,7 @@ from icbounds import (
     Deterministic,
     Disjointness,
     Equality,
+    GreedySearchRefusal,
     Index,
     InnerProduct,
     InputDistribution,
@@ -37,7 +38,7 @@ from icbounds.icbound import (
     _split,
     _support,
 )
-from icbounds import rowsort
+from icbounds import icbound, rowsort
 from icbounds.rowsort import _common_prefixes, _packed_rows, _sorted_prefixes
 
 EPS = st.floats(min_value=0.0, max_value=0.499, allow_nan=False)
@@ -873,3 +874,150 @@ def test_exhaustive_breaks_a_float_noise_tie_to_the_smaller_permutation():
     )
     assert 0.0 < gap < 1e-15
     assert make_ordering("exhaustive", f, dist, channel).perm == identity
+
+
+def depth_first_exhaustive(f, dist, channel):
+    """The exhaustive search as it was before it priced one subset level at a
+    time: the same Held-Karp recursion, visiting the subsets depth first, each
+    refined from itself minus its lowest column and priced on its own."""
+    xs, wts = _support(f, dist)
+    cols = np.concatenate(list(f.row_blocks(xs)))
+    y_size = f.y_size
+    full = (1 << y_size) - 1
+    value = np.zeros(full + 1)
+
+    def price(labels, ncells, part):
+        m = part.shape[1]
+        mass = np.bincount(labels, weights=wts, minlength=ncells)
+        key = (labels[:, None] * m + np.arange(m)).ravel()
+        ones = np.bincount(key, weights=(wts[:, None] * part).ravel(), minlength=ncells * m)
+        q = np.clip(ones.reshape(ncells, m) / mass[:, None], 0.0, 1.0)
+        phi = np.ascontiguousarray(channel.phi(q).T)
+        return np.array([mass @ row for row in phi])
+
+    def continuations(s, labels, ncells):
+        ys = [y for y in range(y_size) if not s >> y & 1]
+        return ys, price(labels, ncells, cols[:, ys]) + value[[s | 1 << y for y in ys]]
+
+    def visit(s, labels, ncells):
+        for y in reversed(range((s & -s).bit_length() - 1 if s else y_size)):
+            child, sizes = _split(labels, cols[:, y], ncells)
+            visit(s | 1 << y, child, sizes.size)
+        if s != full:
+            value[s] = continuations(s, labels, ncells)[1].max()
+
+    visit(0, np.zeros(wts.size, dtype=np.int64), 1)
+    s, labels, ncells = 0, np.zeros(wts.size, dtype=np.int64), 1
+    perm = []
+    while s != full:
+        ys, totals = continuations(s, labels, ncells)
+        tie = 1e-12 * max(1.0, abs(value[s]))
+        best = ys[int(np.flatnonzero(totals >= value[s] - tie)[0])]
+        perm.append(best)
+        labels, sizes = _split(labels, cols[:, best], ncells)
+        ncells = sizes.size
+        s |= 1 << best
+    return tuple(perm)
+
+
+def random_search_case(rng, case, max_y):
+    """A random table of up to ``max_y`` columns, with some zero weights on
+    odd cases, and one of the three channels in turn."""
+    y_size = int(rng.integers(1, max_y + 1))
+    x_size = int(rng.integers(1, 40))
+    f = BooleanFunction(x_size, y_size, rng.integers(0, 2, x_size * y_size))
+    if case % 2:
+        weights = rng.random(x_size)
+        weights[rng.random(x_size) < 0.3] = 0.0
+        weights[0] += 0.05
+        dist = InputDistribution(weights)
+    else:
+        dist = InputDistribution.uniform(x_size)
+    channel = (
+        Deterministic(),
+        Symmetric(float(rng.uniform(0.0, 0.5))),
+        Asymmetric(float(rng.uniform(0.0, 0.5)), float(rng.uniform(0.0, 0.5))),
+    )[case % 3]
+    return f, dist, channel
+
+
+def test_exhaustive_matches_the_depth_first_search():
+    rng = np.random.default_rng(16)
+    for case in range(60):
+        f, dist, channel = random_search_case(rng, case, 10)
+        perm = make_ordering("exhaustive", f, dist, channel).perm
+        assert perm == depth_first_exhaustive(f, dist, channel), case
+
+
+@pytest.mark.parametrize(
+    "family", [InnerProduct(3), Index(5), KIntersect(3, 1), Equality(3)], ids=lambda fam: fam.name
+)
+def test_exhaustive_matches_the_depth_first_search_on_families(family):
+    f = build_family(family)
+    dist = InputDistribution.uniform(f.x_size)
+    for channel in (Deterministic(), Symmetric(0.1), Asymmetric(0.05, 0.2)):
+        assert make_ordering("exhaustive", f, dist, channel).perm == depth_first_exhaustive(
+            f, dist, channel
+        )
+
+
+class PhiCalls:
+    """A channel that counts its phi calls."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def phi(self, q):
+        self.calls += 1
+        return self.inner.phi(q)
+
+
+@pytest.mark.parametrize("budget", [1, 3, 40])
+def test_a_small_search_budget_splits_the_work_and_changes_no_pick(monkeypatch, budget):
+    # The budget is counted in (subset, input, column) triples of
+    # _ENTRY_BYTES each: 1 prices one column of one subset at a time, 3 up to
+    # three columns, 40 several subsets of the top levels at once.
+    rng = np.random.default_rng([budget, 16])
+    cases = [random_search_case(rng, case, 8) for case in range(24)]
+    before = [
+        (make_ordering("exhaustive", f, d, c).perm, make_ordering("greedy", f, d, c).perm)
+        for f, d, c in cases
+    ]
+    calls = {"levels": 0}
+    level_values = icbound._level_values
+
+    def counted(*args):
+        calls["levels"] += 1
+        return level_values(*args)
+
+    monkeypatch.setattr(icbound, "_level_values", counted)
+    levels = 0
+    for (f, dist, channel), (exhaustive, greedy) in zip(cases, before):
+        xs, wts = _support(f, dist)
+        monkeypatch.setattr(icbound, "_SEARCH_BYTES", budget * icbound._ENTRY_BYTES * wts.size)
+        assert make_ordering("exhaustive", f, dist, channel).perm == exhaustive
+        counting = PhiCalls(channel)
+        assert make_ordering("greedy", f, dist, counting).perm == greedy
+        assert greedy == reference_greedy(f, dist, channel)
+        levels += f.y_size
+        # Greedy prices y_size + (y_size - 1) + ... + 1 candidates, at most
+        # ``budget`` per phi call.
+        candidates = f.y_size * (f.y_size + 1) // 2
+        assert counting.calls >= -(-candidates // budget)
+    assert calls["levels"] > levels
+
+
+def test_greedy_refuses_above_its_cost_limit_before_reading_the_table(monkeypatch):
+    f = BooleanFunction(4, 3, [0, 1] * 6)
+    dist = InputDistribution([1.0, 0.0, 1.0, 1.0])
+
+    def unread(*args):
+        raise AssertionError("the table was read")
+
+    monkeypatch.setattr(icbound, "GREEDY_LIMIT", 3 * 3 * 3 - 1)
+    monkeypatch.setattr(icbound, "_columns", unread)
+    with pytest.raises(GreedySearchRefusal, match=r"3 active inputs .* = 27 "):
+        make_ordering("greedy", f, dist)
+    monkeypatch.setattr(icbound, "GREEDY_LIMIT", 3 * 3 * 3)
+    with pytest.raises(AssertionError, match="the table was read"):
+        make_ordering("greedy", f, dist)
