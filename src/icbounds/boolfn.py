@@ -14,8 +14,11 @@ row x holds f(x, 0), f(x, 1), ... eight bits per byte, most significant bit
 first, and is padded with zero bits to a whole byte (at most 7 bits per row).
 That is ``np.packbits(table, axis=1)`` of the (x_size, y_size) table, so any
 row is one contiguous byte range, and tables up to |X| = |Y| = 2**14 take
-32 MiB.  ``BooleanFunction.packed_rows`` returns it.  The file format below
-and ``BooleanFunction.bits`` stay flat: position x * y_size + y, no padding.
+32 MiB.  ``BooleanFunction.packed_rows(xs, cols)`` is the one reader the
+evaluator and the ordering searches use: the stored matrix itself, a copy of
+chosen rows, or chosen rows read at chosen columns, always in this layout.
+The file format below and ``BooleanFunction.bits`` stay flat: position
+x * y_size + y, no padding.
 
 Built-in families
 -----------------
@@ -48,9 +51,13 @@ BIT_ORDER = "x0-msb"
 #: 32 MiB packed.
 MAX_TABLE_BITS = 1 << 28
 
-#: ``BooleanFunction.row_blocks`` unpacks about this many bits per block:
-#: small enough that reordering a block's columns stays in the CPU cache.
-_BLOCK_BITS = 1 << 16
+#: ``BooleanFunction.packed_rows`` reads chosen columns a block of rows at a
+#: time: the block's stored rows and the byte it takes per chosen column
+#: fill about this many bytes, so that they stay in the CPU cache.
+_BLOCK_BYTES = 1 << 18
+
+#: The mask of bit y & 7 within byte y >> 3 of a packed row (MSB first).
+_BIT_MASKS = np.array([0x80 >> i for i in range(8)], dtype=np.uint8)
 
 #: ``build_family`` computes about this many table entries per chunk.
 _BUILD_CHUNK_BITS = 1 << 20
@@ -157,22 +164,6 @@ class BooleanFunction:
             raise ArgumentError(f"y = {y} outside range [0, {self.y_size})")
         return (self._packed[xs, y >> 3] >> (7 - (y & 7))) & 1
 
-    def row_blocks(self, xs=None, cols=None):
-        """Yield the rows f(x, .) for x in ``xs``, about 2**16 bits at a time.
-
-        ``xs`` is an array of x indices (all of X when None) and
-        ``cols`` a sequence of y indices giving the columns and their order
-        (all of Y when None).  Each block is a C-contiguous uint8 array of
-        shape (rows, len(cols)); the blocks together hold the rows in the
-        order of ``xs``.  Every block unpacks whole packed rows, so no bit
-        is gathered on its own.
-        """
-        step = max(8, _BLOCK_BITS // self.y_size)
-        for start in range(0, self.x_size if xs is None else len(xs), step):
-            pick = slice(start, start + step) if xs is None else xs[start : start + step]
-            block = np.unpackbits(self._packed[pick], axis=1, count=self.y_size)
-            yield block if cols is None else np.take(block, cols, axis=1)
-
     def row(self, x: int) -> np.ndarray:
         """The vector f(x, .) over all of Y (dtype uint8)."""
         if not 0 <= x < self.x_size:
@@ -189,14 +180,31 @@ class BooleanFunction:
         """The table as a fresh, writable (x_size, y_size) uint8 array."""
         return np.unpackbits(self._packed, axis=1, count=self.y_size)
 
-    def packed_rows(self) -> np.ndarray:
-        """The stored table: a read-only (x_size, ceil(y_size / 8)) uint8 view.
+    def packed_rows(self, xs=None, cols=None) -> np.ndarray:
+        """The rows f(x, .) for x in ``xs`` (all of X when None) read at the
+        columns ``cols`` (all of Y when None), in those orders, packed: bit j
+        of a row is bit 7 - (j & 7) of byte j >> 3 (MSB first), and each row
+        is padded with zero bits to a whole byte, as ``np.packbits`` packs
+        ``self.table_array()[xs][:, cols]`` along axis 1.
 
-        Bit y of row x is bit 7 - (y & 7) of byte y >> 3 (MSB first), and
-        each row is padded with zero bits to a whole byte: the array
-        ``np.packbits(self.table_array(), axis=1)`` gives.
+        With both None this is the stored table, a read-only view; with
+        ``cols`` None, a fresh copy of the stored rows ``xs``.  Otherwise the
+        rows are read a block at a time (``_BLOCK_BYTES``): the block's whole
+        stored rows, then the byte of each column, masked and packed.
         """
-        return self._packed
+        if cols is None:
+            return self._packed if xs is None else self._packed[xs]
+        cols = np.asarray(cols, dtype=np.intp)
+        byte, mask = cols >> 3, _BIT_MASKS[cols & 7]
+        rows = np.empty((self.x_size if xs is None else len(xs), -(-cols.size // 8)), dtype=np.uint8)
+        step = max(1, _BLOCK_BYTES // (self._packed.shape[1] + cols.size))
+        for a in range(0, rows.shape[0], step):
+            block = self._packed[a : a + step] if xs is None else self._packed[xs[a : a + step]]
+            bits = np.take(block, byte, axis=1)
+            bits &= mask
+            # packbits packs every nonzero byte as a 1 bit.
+            rows[a : a + step] = np.packbits(bits, axis=1)
+        return rows
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BooleanFunction):
@@ -429,12 +437,15 @@ def apply_x_substitution(f: BooleanFunction, sigma) -> BooleanFunction:
 
     ``sigma`` is a sequence of length x_size; it need not be invertible.
     """
-    sig = np.asarray(_integer_entries(sigma, "sigma", "x index"), dtype=np.int64)
+    try:
+        sig = np.asarray(_integer_entries(sigma, "sigma", "x index"), dtype=np.int64)
+    except OverflowError:  # an entry beyond the int64 range
+        raise ArgumentError("sigma image out of range") from None
     if sig.shape != (f.x_size,):
         raise ArgumentError(f"sigma must have length {f.x_size}, got {sig.size}")
     if sig.size and (sig.min() < 0 or sig.max() >= f.x_size):
         raise ArgumentError("sigma image out of range")
-    return BooleanFunction._from_rows(f.x_size, f.y_size, f.packed_rows()[sig])
+    return BooleanFunction._from_rows(f.x_size, f.y_size, f.packed_rows(sig))
 
 
 # ---------------------------------------------------------------------------

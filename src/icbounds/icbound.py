@@ -478,8 +478,8 @@ def compute_bound(
     apart from every other: a few per cent of the table's bits for
     KIntersect under kint-proof, well under one per cent for InnerProduct
     under unit-first.  Rows that stay together over many columns (Equality
-    under a random ordering) are finished by repacking their remaining
-    columns, about as costly as repacking the whole table.
+    under a random ordering) are finished by one read of all their
+    remaining columns, about as costly as reading the whole table.
     """
     ordering = _as_ordering(ordering, f.y_size)
     terms = _RefinementTrace(f, dist, ordering.perm).terms(channel)
@@ -574,8 +574,9 @@ def _kint_proof_perm(y_size: int, k) -> tuple:
 
 
 def _columns(f: BooleanFunction, xs) -> np.ndarray:
-    """The table restricted to the active inputs, one column per Bob input."""
-    return np.concatenate(list(f.row_blocks(xs)))
+    """The table restricted to the active inputs, one column per Bob input:
+    their packed rows (``BooleanFunction.packed_rows``), unpacked."""
+    return np.unpackbits(f.packed_rows(xs), axis=1, count=f.y_size)
 
 
 def _price(
@@ -674,9 +675,9 @@ def _exhaustive_perm(
             f"2**{y_size} subsets of Y; at most |Y| = {EXHAUSTIVE_HARD_LIMIT} is supported"
         )
     xs, wts = _support(f, dist)
-    rows = f.packed_rows()
+    rows = f.packed_rows(xs)
     # Bit y_size - 1 - y of a key, and of a subset, stands for column y.
-    keys = _row_keys(rows if xs is None else rows[xs]) >> np.uint32(8 * rows.shape[1] - y_size)
+    keys = _row_keys(rows) >> np.uint32(8 * rows.shape[1] - y_size)
     # ones[b]: every input's weight where its column y_size - 1 - b is 1.
     ones = ((keys >> np.arange(y_size, dtype=np.uint32)[:, None]) & 1) * wts
     value = np.zeros(1 << y_size)

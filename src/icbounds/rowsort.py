@@ -5,27 +5,28 @@ with their columns in the ordering, sorted lexicographically (stably, so
 equal rows keep x order), and ``lcp``, the longest common prefix in bits of
 every adjacent pair.  ``_sorted_prefixes`` builds both.
 
-The rows keep the table's packed layout (``BooleanFunction.packed_rows``:
-MSB first, zero-padded to a whole byte).  A row of at most 64 columns (at
-most 8 packed bytes) is read as one unsigned integer, its bytes most
-significant first (``_row_keys``: uint32 for at most 4 bytes, uint64
+Every read of the table is one call of ``BooleanFunction.packed_rows(xs,
+cols)``, which returns chosen rows at chosen columns in the table's packed
+layout (MSB first, zero-padded to a whole byte).  A row of at most 64
+columns (at most 8 packed bytes) is read as one unsigned integer, its bytes
+most significant first (``_row_keys``: uint32 for at most 4 bytes, uint64
 otherwise), so one stable argsort of the keys sorts the rows
 lexicographically, and two adjacent rows first differ at the leading bit of
 their keys' XOR.  Wider rows are sorted as byte strings, which compares
 them lexicographically too, and compared a byte at a time.  Under the
-identity ordering the sort reads the stored table, with no copy when every
-input is active; rows of at most 64 columns under another ordering are
-repacked with their columns reordered, and sorted as keys.
+identity ordering the sort reads the stored rows, with no copy when every
+input is active; rows of at most 64 columns under another ordering are read
+with their columns reordered, and sorted as keys.
 
 Wider rows under any other ordering are read only where they differ.  A
 column permutation keeps equal rows equal and distinct rows distinct, so
 the stored rows are sorted once as byte strings just to collapse each class
 of equal rows.  One row per class is then sorted by MSD radix refinement
 (McIlroy, Bostic and McIlroy, *Engineering Radix Sort*, 1993): each round
-gathers the next 64 columns of the ordering, as one uint64 key, for the
-rows not yet apart from all others, so that a row stops being read once it
-is alone.  Rows that stay together over many columns are finished by
-repacking their remaining columns, sorted as keys once at most 64 are
+reads the next 64 columns of the ordering, as one uint64 key, for the rows
+not yet apart from all others, so that a row stops being read once it is
+alone.  Rows that stay together over many columns are finished by reading
+all their remaining columns at once, sorted as keys once at most 64 are
 left.  Both paths give the same two arrays.
 """
 
@@ -36,30 +37,6 @@ import math
 import numpy as np
 
 from .boolfn import BooleanFunction
-
-
-def _packed_rows(f: BooleanFunction, xs, perm: np.ndarray) -> np.ndarray:
-    """The active rows with their columns in ``perm`` order, in the layout of
-    ``BooleanFunction.packed_rows`` (MSB first, zero padding after the last
-    column): comparing two rows as byte strings compares them
-    lexicographically.  Under the identity ordering these are the stored
-    rows, not copied when every input is active; any other ordering unpacks
-    a block of rows at a time, reorders its columns and packs it again."""
-    if np.array_equal(perm, np.arange(perm.size)):
-        rows = f.packed_rows()
-        return rows if xs is None else rows[xs]
-    return _repacked(f, xs, perm)
-
-
-def _repacked(f: BooleanFunction, xs, cols: np.ndarray) -> np.ndarray:
-    """The rows ``xs`` (all of X when None) restricted to the columns
-    ``cols``, in that order, packed like ``BooleanFunction.packed_rows``."""
-    rows = np.empty((f.x_size if xs is None else xs.size, -(-cols.size // 8)), dtype=np.uint8)
-    start = 0
-    for block in f.row_blocks(xs, cols):
-        rows[start : start + block.shape[0]] = np.packbits(block, axis=1)
-        start += block.shape[0]
-    return rows
 
 
 def _bit_lengths(words: np.ndarray) -> np.ndarray:
@@ -147,7 +124,7 @@ def _sort_rows(rows: np.ndarray, y_size: int, group=None):
     return order, _common_prefixes(rows, order, y_size)
 
 
-#: The permuted row reader gathers this many columns per round, as one uint64.
+#: The radix rounds read this many columns per round, as one uint64.
 _CHUNK = 64
 
 
@@ -158,21 +135,18 @@ def _refine_distinct(f: BooleanFunction, xr: np.ndarray, perm: np.ndarray):
     of every adjacent pair (``lcp``, int32).
 
     Rows that share their first c permuted columns form a group, a run of
-    ``rank``.  Each round gathers the next ``_CHUNK`` columns of the rows
+    ``rank``.  Each round reads the next ``_CHUNK`` columns of the rows
     still in a group of more than one, packed MSB first into a uint64 key,
     stable-sorts every group by its key, and sets the common prefix of each
     adjacent pair that first differs in this chunk.  A round's cost is
     proportional to the rows it reads, so rows leave once they are alone.
     Telling the rows of a group of s apart takes log2(s) bits per row; when
     a round learns less than 4 * _CHUNK / (columns left) of the bits still
-    needed, the groups are finished at once: their rows are repacked on all
-    the remaining columns, sorted as byte strings within each group and
+    needed, the groups are finished at once: their rows are read at all the
+    remaining columns, sorted as byte strings within each group and
     compared by ``_common_prefixes``.
     """
     y_size = perm.size
-    stored = f.packed_rows()
-    width = stored.shape[1]
-    flat = stored.reshape(-1)
     rank = np.arange(xr.size)
     lcp = np.empty(max(xr.size - 1, 0), dtype=np.int32)
     # The places in rank of the rows still grouped, and their group ids,
@@ -186,15 +160,11 @@ def _refine_distinct(f: BooleanFunction, xr: np.ndarray, perm: np.ndarray):
         if not at.size:
             break
         cols = perm[c : c + _CHUNK]
-        # Columns past |Y| read byte 0 under a zero mask: zero bits.
-        byte = np.zeros(_CHUNK, dtype=np.intp)
-        bit = np.zeros(_CHUNK, dtype=np.uint8)
-        byte[: cols.size] = cols >> 3
-        bit[: cols.size] = 0x80 >> (cols & 7)
         rows = rank[at]
-        bits = np.take(flat, (xr[rows] * width)[:, None] + byte)
-        bits &= bit
-        key = np.packbits(bits != 0, axis=1).view(">u8")[:, 0].astype(np.uint64)
+        # Zero bits past |Y| pad the last round's key.
+        key = np.zeros((rows.size, 8), dtype=np.uint8)
+        key[:, : -(-cols.size // 8)] = f.packed_rows(xr[rows], cols)
+        key = key.view(">u8")[:, 0].astype(np.uint64)
         # lexsort's last key is its primary one.
         by_key = np.lexsort((key, group))
         rank[at] = rows[by_key]
@@ -215,12 +185,13 @@ def _refine_distinct(f: BooleanFunction, xr: np.ndarray, perm: np.ndarray):
         before = remaining
         remaining = float(sizes @ np.log2(sizes))
         left = y_size - c - _CHUNK
-        # At this round's rate the next rounds would gather _CHUNK *
+        # At this round's rate the next rounds would read _CHUNK *
         # remaining / (before - remaining) more columns of every grouped
-        # row, and a repack costs about a quarter as much per column.
+        # row, and one read of them all costs about a quarter as much per
+        # column.
         if at.size and (before - remaining) * left < 4 * _CHUNK * remaining:
             rows = rank[at]
-            by_tail, tail_lcp = _sort_rows(_repacked(f, xr[rows], perm[c + _CHUNK :]), left, group)
+            by_tail, tail_lcp = _sort_rows(f.packed_rows(xr[rows], perm[c + _CHUNK :]), left, group)
             rank[at] = rows[by_tail]
             same = np.flatnonzero(group[1:] == group[:-1])
             lcp[at[same]] = c + _CHUNK + tail_lcp[same]
@@ -235,10 +206,11 @@ def _sorted_prefixes(f: BooleanFunction, xs, perm: np.ndarray):
     |Y| for equal rows).  The module docstring describes the two paths.
     """
     y_size = perm.size
-    if y_size <= _CHUNK or np.array_equal(perm, np.arange(y_size)):
-        return _sort_rows(_packed_rows(f, xs, perm), y_size)
+    identity = np.array_equal(perm, np.arange(y_size))
+    if identity or y_size <= _CHUNK:
+        return _sort_rows(f.packed_rows(xs, None if identity else perm), y_size)
     # The classes of equal rows, each a run of ``order`` in x order.
-    order, lcp = _sort_rows(f.packed_rows() if xs is None else f.packed_rows()[xs], y_size)
+    order, lcp = _sort_rows(f.packed_rows(xs), y_size)
     first = np.flatnonzero(np.append(True, lcp < y_size))
     del lcp
     reps = order[first]

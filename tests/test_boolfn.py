@@ -283,16 +283,15 @@ def test_truth_table_bit_check_on_a_large_table():
         load_truth_table(json.dumps({"x_size": 256, "y_size": 256, "bits": bad}))
 
 
-def test_row_blocks_match_the_table():
+def test_packed_rows_at_chosen_columns_match_the_table():
     rng = np.random.default_rng(11)
     for x_size, y_size in [(1, 1), (3, 5), (70, 1000), (5000, 13)]:
         f = BooleanFunction(x_size, y_size, rng.integers(0, 2, x_size * y_size))
         table = f.table_array()
         xs = np.flatnonzero(rng.random(x_size) < 0.5)
         cols = rng.permutation(y_size)
-        assert np.array_equal(np.concatenate(list(f.row_blocks())), table)
-        got = list(f.row_blocks(xs, cols))
-        assert np.array_equal(np.concatenate(got) if got else np.zeros((0, y_size)), table[xs][:, cols])
+        assert np.array_equal(f.packed_rows(None, np.arange(y_size)), np.packbits(table, axis=1))
+        assert np.array_equal(f.packed_rows(xs, cols), np.packbits(table[xs][:, cols], axis=1))
 
 
 def test_packed_rows_match_the_table():
@@ -335,6 +334,14 @@ def test_apply_x_substitution_range_error():
         apply_x_substitution(f, [0, 1, 2, 7])
     with pytest.raises(ArgumentError):
         apply_x_substitution(f, [0, 1, 2])
+
+
+@pytest.mark.parametrize("entry", [2**70, -(2**70), 2**63, -(2**63) - 1])
+def test_apply_x_substitution_refuses_entries_beyond_int64(entry):
+    # Not an OverflowError from the int64 conversion: the image is out of range.
+    f = build_family(InnerProduct(2))
+    with pytest.raises(ArgumentError, match="sigma image out of range"):
+        apply_x_substitution(f, [entry, 0, 0, 0])
 
 
 @pytest.mark.parametrize(

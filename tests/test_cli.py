@@ -1,5 +1,6 @@
 """Command-line interface: flag grammar, report schemas, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -585,5 +586,86 @@ def test_fuzzed_search_and_prbox_argv_exit_cleanly(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+# A stand-in for the path of a truth-table file that the test writes.
+TABLE = "<table>"
+SMALL_COUNTS_REFUSED = st.one_of(
+    st.integers(max_value=0).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.just(""),
+)
+# Every flag of the commands below: (values that reach an answer, values to
+# refuse).  Only sizes that build cheaply are valid: --n at most 3, --cases
+# at most 5, --max-size at most 16.
+FLAG_VALUES = {
+    "--family": (st.sampled_from(["index", "ip", "disj", "eq", "kint"]), st.text(max_size=4)),
+    "--table": (st.just(TABLE), NUMBER_TEXT),
+    "--n": (st.sampled_from(["1", "2", "3"]), BAD_N),
+    "--k": (st.just("1"), NUMBER_TEXT),
+    "--channel": (st.sampled_from(["det", "sym", "asym"]), st.text(max_size=4)),
+    "--eps": (st.sampled_from(["0.0", "0.1", "0.3"]), NUMBER_TEXT),
+    "--eps1": (st.sampled_from(["0.0", "0.1", "0.3"]), NUMBER_TEXT),
+    "--eps2": (st.sampled_from(["0.0", "0.1", "0.3"]), NUMBER_TEXT),
+    "--ordering": (st.sampled_from(["natural", "unit-first", "kint-proof"]), NUMBER_TEXT),
+    "--dist": (st.just("uniform"), NUMBER_TEXT),
+    "--threads": (st.sampled_from(["1", "2"]), SMALL_COUNTS_REFUSED),
+    "--m": (st.sampled_from(["0", "1", "2"]), NUMBER_TEXT),
+    "--cases": (st.integers(1, 5).map(str), SMALL_COUNTS_REFUSED),
+    "--seed": (st.integers(min_value=0).map(str), NUMBER_TEXT),
+    "--max-size": (
+        st.integers(1, 16).map(str),
+        SMALL_COUNTS_REFUSED | st.integers(min_value=1025).map(str),
+    ),
+    "--format": (st.sampled_from(["text", "json", "csv"]), st.text(max_size=4)),
+}
+OTHER_COMMANDS = [["bound"], ["classify"], ["families"], ["oracle-check"], ["prbox", "decompose"], ["prbox", "maxbias"]]
+
+
+def subcommand_parser(path):
+    """The parser that ``build_parser()`` uses for the subcommand ``path``."""
+    parser = cli.build_parser()
+    for name in path:
+        parser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[name]
+    return parser
+
+
+@st.composite
+def other_subcommand_argv(draw):
+    command = draw(st.sampled_from(OTHER_COMMANDS))
+    argv = []
+    # The subcommand's own flags, each drawn or left out, in any order.
+    actions = [a for a in subcommand_parser(command)._actions if a.option_strings and a.dest != "help"]
+    for action in draw(st.permutations(actions)):
+        flag = action.option_strings[-1]
+        # Mostly one function source and valid values, so that many calls
+        # get as far as an answer.
+        chance = {"--family": 8, "--n": 9, "--table": 1}.get(flag, 9 if action.required else 5)
+        if draw(st.integers(0, 9)) >= chance:
+            continue
+        if action.nargs == 0:
+            argv.append(flag)
+            continue
+        valid, bad = FLAG_VALUES[flag]
+        text = draw(valid if draw(st.integers(0, 7)) else bad)
+        argv += [f"{flag}={text}"] if draw(st.booleans()) else [flag, text]
+    return command + argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=other_subcommand_argv())
+def test_fuzzed_argv_of_the_other_subcommands_exit_cleanly(argv):
+    # Every flag that build_parser() gives these subcommands, drawn valid or
+    # not, in either form and any order: an answer (0), an argument error (2)
+    # or a refusal (3), and nothing escapes main().
+    with tempfile.TemporaryDirectory() as folder:
+        if any(TABLE in arg for arg in argv):
+            path = write_disj2_table(folder)
+            argv = [arg.replace(TABLE, path) for arg in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()

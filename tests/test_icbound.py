@@ -544,8 +544,9 @@ def _spy(monkeypatch, module, name, calls):
     [
         # Per-depth cell builder: 2**d branching nodes at depth d.
         (Index(11), "natural", Symmetric(0.1), ["_cells_by_depth"]),
-        # Permuted radix reader, its rows finished by a repack.
-        (Equality(8), "random", Asymmetric(0.05, 0.2), ["_refine_distinct", "_repacked"]),
+        # Permuted radix reader, its rows finished by one read of all the
+        # columns left (the only read of more than 64 columns).
+        (Equality(8), "random", Asymmetric(0.05, 0.2), ["_refine_distinct", "tail read"]),
         (KIntersect(8, 3), "kint-proof", Symmetric(0.1), ["_refine_distinct"]),
     ],
     ids=["index11-natural", "eq8-random", "kint8-3-kint-proof"],
@@ -563,7 +564,14 @@ def test_oracle_agrees_on_the_paths_the_random_corpus_misses(
     calls = []
     _spy(monkeypatch, icbound, "_cells_by_depth", calls)
     _spy(monkeypatch, rowsort, "_refine_distinct", calls)
-    _spy(monkeypatch, rowsort, "_repacked", calls)
+    real_read = BooleanFunction.packed_rows
+
+    def read(self, xs=None, cols=None):
+        if cols is not None and len(cols) > 64:
+            calls.append("tail read")
+        return real_read(self, xs, cols)
+
+    monkeypatch.setattr(BooleanFunction, "packed_rows", read)
     fast = compute_bound(f, dist, perm, channel)
     assert sorted(calls) == sorted(paths)
     slow = direct_oracle(f, dist, perm, channel)

@@ -39,7 +39,7 @@ from icbounds.icbound import (
     _support,
 )
 from icbounds import icbound, rowsort
-from icbounds.rowsort import _common_prefixes, _packed_rows, _sorted_prefixes
+from icbounds.rowsort import _common_prefixes, _sorted_prefixes
 
 EPS = st.floats(min_value=0.0, max_value=0.499, allow_nan=False)
 CHANNELS = st.one_of(
@@ -393,11 +393,11 @@ def test_common_prefixes_on_word_boundaries(y_size):
         b = a.copy()
         b[d:] ^= 1
         f = BooleanFunction(2, y_size, np.concatenate([a, b]))
-        assert _common_prefixes(_packed_rows(f, None, np.arange(y_size)), np.arange(2), y_size).tolist() == [d]
+        assert _common_prefixes(f.packed_rows(), np.arange(2), y_size).tolist() == [d]
         # Rows of at most 64 columns take the integer-key path.
         assert _sorted_prefixes(f, None, np.arange(y_size))[1].tolist() == [d]
     same = BooleanFunction(2, y_size, np.ones(2 * y_size, dtype=np.uint8))
-    assert _common_prefixes(_packed_rows(same, None, np.arange(y_size)), np.arange(2), y_size).tolist() == [y_size]
+    assert _common_prefixes(same.packed_rows(), np.arange(2), y_size).tolist() == [y_size]
     assert _sorted_prefixes(same, None, np.arange(y_size))[1].tolist() == [y_size]
 
 
@@ -881,7 +881,7 @@ def depth_first_exhaustive(f, dist, channel):
     time: the same Held-Karp recursion, visiting the subsets depth first, each
     refined from itself minus its lowest column and priced on its own."""
     xs, wts = _support(f, dist)
-    cols = np.concatenate(list(f.row_blocks(xs)))
+    cols = f.table_array() if xs is None else f.table_array()[xs]
     y_size = f.y_size
     full = (1 << y_size) - 1
     value = np.zeros(full + 1)

@@ -21,7 +21,6 @@ from icbounds import (
     save_truth_table,
 )
 from icbounds import boolfn
-from icbounds.rowsort import _packed_rows
 
 # --- the families' definitions, entry by entry, on bit vectors --------------
 
@@ -120,14 +119,14 @@ def test_packed_rows_under_the_identity_ordering(x_size, y_size):
     table = rng.integers(0, 2, (x_size, y_size), dtype=np.uint8)
     f = BooleanFunction(x_size, y_size, table)
     identity = np.arange(y_size)
-    got = _packed_rows(f, None, identity)
+    got = f.packed_rows()
     assert got.dtype == np.uint8
     assert np.array_equal(got, np.packbits(table, axis=1))
     # Every input active: the stored rows themselves, not a copy.
     assert np.shares_memory(got, f.packed_rows())
     # Zero weights: only the rows of the active inputs, in their order.
     for xs in (np.flatnonzero(rng.random(x_size) < 0.5), np.array([x_size - 1]), np.array([], dtype=np.int64)):
-        assert np.array_equal(_packed_rows(f, xs, identity), np.packbits(table[xs][:, identity], axis=1))
+        assert np.array_equal(f.packed_rows(xs), np.packbits(table[xs][:, identity], axis=1))
 
 
 def test_packed_rows_under_a_permuted_ordering():
@@ -136,8 +135,41 @@ def test_packed_rows_under_a_permuted_ordering():
     f = BooleanFunction(300, 70, table)
     perm = rng.permutation(70)
     xs = np.flatnonzero(rng.random(300) < 0.7)
-    assert np.array_equal(_packed_rows(f, None, perm), np.packbits(table[:, perm], axis=1))
-    assert np.array_equal(_packed_rows(f, xs, perm), np.packbits(table[xs][:, perm], axis=1))
+    assert np.array_equal(f.packed_rows(None, perm), np.packbits(table[:, perm], axis=1))
+    assert np.array_equal(f.packed_rows(xs, perm), np.packbits(table[xs][:, perm], axis=1))
+
+
+@st.composite
+def reads(draw):
+    """A table, rows to read (any order, repeats, none, or all of X when
+    None), columns to read (any length, repeats) and a block size in bytes
+    small enough that a read can take many blocks, one row each at least."""
+    y_size = draw(st.one_of(st.integers(1, 17), st.integers(63, 65), st.just(200)))
+    x_size = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.integers(0, 2, (x_size, y_size), dtype=np.uint8)
+    xs = draw(st.none() | st.lists(st.integers(0, x_size - 1), max_size=90).map(lambda v: np.array(v, dtype=np.int64)))
+    cols = draw(st.lists(st.integers(0, y_size - 1), max_size=2 * y_size + 9))
+    return table, xs, cols, draw(st.integers(1, 4096))
+
+
+@settings(max_examples=200, deadline=None)
+@given(reads())
+def test_packed_rows_read_any_rows_at_any_columns(case):
+    table, xs, cols, block = case
+    f = BooleanFunction(*table.shape, table)
+    read = table if xs is None else table[xs]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(boolfn, "_BLOCK_BYTES", block)
+        got = f.packed_rows(xs, np.array(cols, dtype=np.int64))
+    # np.packbits pads each row with zero bits to a whole byte.
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, np.packbits(read[:, cols], axis=1))
+    assert not f.packed_rows().flags.writeable
+    if xs is not None:
+        rows = f.packed_rows(xs)
+        assert rows.flags.writeable and not np.shares_memory(rows, f.packed_rows())
+        assert np.array_equal(rows, np.packbits(read, axis=1))
 
 
 @st.composite
@@ -161,7 +193,7 @@ def tables_with_repeats(draw):
 def test_byte_string_sort_is_the_lexicographic_order(case):
     table, perm = case
     f = BooleanFunction(*table.shape, table)
-    rows = _packed_rows(f, None, perm)
+    rows = f.packed_rows(None, perm)
     order = np.argsort(rows.view(f"S{rows.shape[1]}")[:, 0], kind="stable")
     # lexsort's last key is its primary one.
     assert np.array_equal(order, np.lexsort(table[:, perm].T[::-1]))
