@@ -100,6 +100,14 @@ def _integer_entries(values, name: str, kind: str, error=ArgumentError) -> tuple
     return tuple(map(int, values))
 
 
+def _indices(values, size: int, name: str) -> np.ndarray:
+    """``values`` as an intp array, refused unless every entry lies in [0, size)."""
+    values = np.asarray(values, dtype=np.intp)
+    if values.size and not 0 <= values.min() <= values.max() < size:
+        raise ArgumentError(f"{name} indices must lie in [0, {size}), got {values.min()}..{values.max()}")
+    return values
+
+
 class BooleanFunction:
     """Immutable truth table of a total function f: X x Y -> {0,1}."""
 
@@ -190,11 +198,14 @@ class BooleanFunction:
         With both None this is the stored table, a read-only view; with
         ``cols`` None, a fresh copy of the stored rows ``xs``.  Otherwise the
         rows are read a block at a time (``_BLOCK_BYTES``): the block's whole
-        stored rows, then the byte of each column, masked and packed.
+        stored rows, then the byte of each column, masked and packed.  An
+        entry of ``xs`` or ``cols`` outside the table is refused.
         """
+        if xs is not None:
+            xs = _indices(xs, self.x_size, "x")
         if cols is None:
             return self._packed if xs is None else self._packed[xs]
-        cols = np.asarray(cols, dtype=np.intp)
+        cols = _indices(cols, self.y_size, "column")
         byte, mask = cols >> 3, _BIT_MASKS[cols & 7]
         rows = np.empty((self.x_size if xs is None else len(xs), -(-cols.size // 8)), dtype=np.uint8)
         step = max(1, _BLOCK_BYTES // (self._packed.shape[1] + cols.size))

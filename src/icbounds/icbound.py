@@ -50,8 +50,9 @@ Exhaustive search is a dynamic program over the subsets of Y, since the
 partition after a prefix depends only on the set of columns used.  It
 prices all subsets of one size together, in chunks under the same budget:
 each active row is read once as an integer key, so the partition of a
-subset S is the classes of ``key & S``.  The winning permutation is then
-rebuilt with ``_split`` and ``_price``.
+subset S is the classes of ``key & S``.  Every subset keeps the column its
+best continuation starts with, and the winning permutation follows those
+picks from the empty subset, with no second read of the table.
 
 Channel semantics: the success constraint is taken at equality -- the guess
 is correct with probability exactly one minus the stated error rate,
@@ -102,7 +103,7 @@ CHANNEL_SEMANTICS = (
 EXHAUSTIVE_LIMIT = 16
 
 #: Exhaustive ordering search refuses beyond this |Y| even when overridden:
-#: it keeps one float per subset of Y (128 MiB at |Y| = 24).
+#: it keeps one float and one byte per subset of Y (144 MiB at |Y| = 24).
 EXHAUSTIVE_HARD_LIMIT = 24
 
 #: Greedy ordering search refuses when |X active| * |Y|**2, the (input,
@@ -658,9 +659,10 @@ def _exhaustive_perm(
     free column, one phi call prices them all and one bincount sums each
     T(S, y).  Cells of one input are pure under every column and are left
     out, so V can differ from pricing every cell by rounding alone, far
-    below the tie tolerance.  The permutation is then rebuilt forward with
-    ``_price``, taking at each step the smallest y whose T + V comes within
-    1e-12 * max(1, |V[S]|) of V[S].
+    below the tie tolerance.  Every subset also keeps its pick, the smallest
+    y whose T(S, y) + V[S + {y}] comes within 1e-12 * max(1, |V[S]|) of
+    V[S] (one byte, as |Y| <= 24), and the permutation follows the picks
+    from S = {}.
     """
     y_size = f.y_size
     if y_size > EXHAUSTIVE_LIMIT and not allow_big:
@@ -681,6 +683,8 @@ def _exhaustive_perm(
     # ones[b]: every input's weight where its column y_size - 1 - b is 1.
     ones = ((keys >> np.arange(y_size, dtype=np.uint32)[:, None]) & 1) * wts
     value = np.zeros(1 << y_size)
+    # pick[S]: the column the tie rule takes after the subset S.
+    pick = np.zeros(1 << y_size, dtype=np.uint8)
     subsets = np.arange(1 << y_size, dtype=np.uint32)
     level = np.bitwise_count(subsets)
     triples = _SEARCH_BYTES // (_ENTRY_BYTES * wts.size)
@@ -692,26 +696,11 @@ def _exhaustive_perm(
         batch = subsets[level == size]
         for a in range(0, batch.size, chunk):
             s = batch[a : a + chunk]
-            value[s] = _level_values(s, keys, wts, ones, value, free, width, channel)
-
-    def continuations(s: int, labels: np.ndarray, ncells: int):
-        """The columns not in S, and T(S, y) + V[S + {y}] for each of them."""
-        ys = [y for y in range(y_size) if not s >> (y_size - 1 - y) & 1]
-        terms = _price(labels, ncells, wts, cols, ys, channel)
-        return ys, terms + value[[s | 1 << (y_size - 1 - y) for y in ys]]
-
-    cols = _columns(f, xs)
-    full = (1 << y_size) - 1
-    s, labels, ncells = 0, np.zeros(wts.size, dtype=np.int64), 1
-    perm = []
-    while s != full:
-        ys, totals = continuations(s, labels, ncells)
-        tie = 1e-12 * max(1.0, abs(value[s]))
-        best = ys[int(np.flatnonzero(totals >= value[s] - tie)[0])]
-        perm.append(best)
-        labels, sizes = _split(labels, cols[:, best], ncells)
-        ncells = sizes.size
-        s |= 1 << (y_size - 1 - best)
+            value[s], pick[s] = _level_values(s, keys, wts, ones, value, free, width, channel)
+    s, perm = 0, []
+    for _ in range(y_size):
+        perm.append(int(pick[s]))
+        s |= 1 << (y_size - 1 - perm[-1])
     return tuple(perm)
 
 
@@ -724,10 +713,12 @@ def _level_values(
     free: int,
     width: int,
     channel: ChannelModel,
-) -> np.ndarray:
+) -> tuple:
     """V of every subset in ``s``, all of one level with ``free`` columns
-    left, from the V of the level above: the subsets' free columns are
-    priced ``width`` at a time."""
+    left, from the V of the level above, and the column each subset's tie
+    rule picks: the smallest y whose T(S, y) + V[S + {y}] comes within
+    1e-12 * max(1, |V[S]|) of V[S].  The subsets' free columns are priced
+    ``width`` at a time."""
     count, shift = wts.size, len(ones)
     # The cell of every (subset, input) pair is its key masked to the
     # subset; one sort numbers the cells (subset major).
@@ -743,10 +734,10 @@ def _level_values(
     cell = (np.cumsum(larger) - 1)[cell[entry]]
     sub, x = np.divmod(entry, count)
     mass = np.bincount(cell, weights=wts[x], minlength=owner.size)
-    # The free bits of every subset, in increasing order.
+    # The free bits of every subset, in decreasing order: increasing y.
     free_bits = np.nonzero(((s[:, None] >> np.arange(shift, dtype=np.uint32)) & 1) == 0)[1]
-    free_bits = free_bits.reshape(s.size, free)
-    best = np.full(s.size, -np.inf)
+    free_bits = free_bits.reshape(s.size, free)[:, ::-1]
+    totals = np.empty((s.size, free))
     for a in range(0, free, width):
         part = free_bits[:, a : a + width]
         m = part.shape[1]
@@ -759,10 +750,13 @@ def _level_values(
         term *= mass[:, None]
         slot = (owner[:, None] * m + np.arange(m)).ravel()
         # With no cell of two inputs, bincount returns integer zeros.
-        total = value[s[:, None] | (np.uint32(1) << part.astype(np.uint32))]
+        total = totals[:, a : a + m]
+        total[:] = value[s[:, None] | (np.uint32(1) << part.astype(np.uint32))]
         total += np.bincount(slot, weights=term.ravel(), minlength=s.size * m).reshape(s.size, m)
-        np.maximum(best, total.max(axis=1), out=best)
-    return best
+    best = totals.max(axis=1)
+    # argmax finds the first column within the tie tolerance.
+    first = np.argmax(totals >= (best - 1e-12 * np.maximum(1.0, np.abs(best)))[:, None], axis=1)
+    return best, shift - 1 - free_bits[np.arange(s.size), first]
 
 
 _STRATEGIES = ("natural", "unit-first", "kint-proof", "greedy", "exhaustive")

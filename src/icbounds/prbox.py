@@ -148,10 +148,6 @@ class VanDamDecomposition:
             shifts = (7 - (chunk & 7)).astype(np.uint8)[:, None]
             yield (np.take(byte_columns, chunk >> 3, axis=0) >> shifts) & 1
 
-    def monomial(self, subset, y: int) -> int:
-        """prod_{i in subset} y_i for the y-index ``y``."""
-        return int(all((y >> (self.y_bits - 1 - i)) & 1 for i in subset))
-
     def value(self, x: int, y: int) -> int:
         """Reconstruct f(x, y): the XOR of column m at x over masks m with m & y == m."""
         y_size = 1 << self.y_bits

@@ -23,11 +23,13 @@ column permutation keeps equal rows equal and distinct rows distinct, so
 the stored rows are sorted once as byte strings just to collapse each class
 of equal rows.  One row per class is then sorted by MSD radix refinement
 (McIlroy, Bostic and McIlroy, *Engineering Radix Sort*, 1993): each round
-reads the next 64 columns of the ordering, as one uint64 key, for the rows
-not yet apart from all others, so that a row stops being read once it is
-alone.  Rows that stay together over many columns are finished by reading
-all their remaining columns at once, sorted as keys once at most 64 are
-left.  Both paths give the same two arrays.
+reads the next 64 columns of the ordering for the rows not yet apart from
+all others and sorts them within their groups, so that a row stops being
+read once it is alone.  Rows that stay together over many columns are
+finished by one last round over all their remaining columns.  Every round
+is one ``_sort_rows`` call, the same sort as the other path's, so
+``_row_keys`` and ``_key_prefixes`` are the module's only key builder and
+key prefix.  Both paths give the same two arrays.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ def _sort_rows(rows: np.ndarray, y_size: int, group=None):
     return order, _common_prefixes(rows, order, y_size)
 
 
-#: The radix rounds read this many columns per round, as one uint64.
+#: The radix rounds read this many columns per round, as one uint64 key.
 _CHUNK = 64
 
 
@@ -136,15 +138,15 @@ def _refine_distinct(f: BooleanFunction, xr: np.ndarray, perm: np.ndarray):
 
     Rows that share their first c permuted columns form a group, a run of
     ``rank``.  Each round reads the next ``_CHUNK`` columns of the rows
-    still in a group of more than one, packed MSB first into a uint64 key,
-    stable-sorts every group by its key, and sets the common prefix of each
-    adjacent pair that first differs in this chunk.  A round's cost is
-    proportional to the rows it reads, so rows leave once they are alone.
-    Telling the rows of a group of s apart takes log2(s) bits per row; when
-    a round learns less than 4 * _CHUNK / (columns left) of the bits still
-    needed, the groups are finished at once: their rows are read at all the
-    remaining columns, sorted as byte strings within each group and
-    compared by ``_common_prefixes``.
+    still in a group of more than one and sorts them within their groups
+    (``_sort_rows``, as integer keys); an adjacent pair of one group that
+    differs in these columns gets its common prefix, c plus the one within
+    the round.  A round's cost is proportional to the rows it reads, so
+    rows leave once they are alone.  Telling the rows of a group of s apart
+    takes log2(s) bits per row; when a round learns less than 4 * _CHUNK /
+    (columns left) of the bits still needed, the next round reads all the
+    remaining columns at once (as byte strings when more than 64 are left)
+    and is the last.
     """
     y_size = perm.size
     rank = np.arange(xr.size)
@@ -156,23 +158,16 @@ def _refine_distinct(f: BooleanFunction, xr: np.ndarray, perm: np.ndarray):
     # The bits still needed to tell the grouped rows apart: the sum over
     # them of log2 of their group's size.
     remaining = at.size * math.log2(max(at.size, 1))
-    for c in range(0, y_size, _CHUNK):
-        if not at.size:
-            break
-        cols = perm[c : c + _CHUNK]
+    c, width = 0, _CHUNK
+    while at.size and c < y_size:
+        width = min(width, y_size - c)
         rows = rank[at]
-        # Zero bits past |Y| pad the last round's key.
-        key = np.zeros((rows.size, 8), dtype=np.uint8)
-        key[:, : -(-cols.size // 8)] = f.packed_rows(xr[rows], cols)
-        key = key.view(">u8")[:, 0].astype(np.uint64)
-        # lexsort's last key is its primary one.
-        by_key = np.lexsort((key, group))
-        rank[at] = rows[by_key]
-        key = key[by_key]
+        by, part = _sort_rows(f.packed_rows(xr[rows], perm[c : c + width]), width, group)
+        rank[at] = rows[by]
         same = group[1:] == group[:-1]
-        diff = key[1:] ^ key[:-1]
-        split = np.flatnonzero(same & (diff != 0))
-        lcp[at[split]] = c + _CHUNK - _bit_lengths(diff[split])
+        split = np.flatnonzero(same & (part < width))
+        lcp[at[split]] = c + part[split]
+        c += width
         starts = np.ones(at.size, dtype=bool)
         starts[1:] = ~same
         starts[split + 1] = True
@@ -184,18 +179,12 @@ def _refine_distinct(f: BooleanFunction, xr: np.ndarray, perm: np.ndarray):
         sizes = sizes[sizes > 1]
         before = remaining
         remaining = float(sizes @ np.log2(sizes))
-        left = y_size - c - _CHUNK
         # At this round's rate the next rounds would read _CHUNK *
         # remaining / (before - remaining) more columns of every grouped
         # row, and one read of them all costs about a quarter as much per
         # column.
-        if at.size and (before - remaining) * left < 4 * _CHUNK * remaining:
-            rows = rank[at]
-            by_tail, tail_lcp = _sort_rows(f.packed_rows(xr[rows], perm[c + _CHUNK :]), left, group)
-            rank[at] = rows[by_tail]
-            same = np.flatnonzero(group[1:] == group[:-1])
-            lcp[at[same]] = c + _CHUNK + tail_lcp[same]
-            break
+        if (before - remaining) * (y_size - c) < 4 * _CHUNK * remaining:
+            width = y_size - c
     return rank, lcp
 
 

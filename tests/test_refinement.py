@@ -552,8 +552,9 @@ def test_key_path_equals_the_byte_string_sort(case):
 @pytest.mark.parametrize("zeros", [False, True])
 def test_key_path_sorts_a_narrow_radix_tail(monkeypatch, y_size, zeros):
     # One-hot rows plus a random first column stay in two groups after the
-    # first 64 columns, so the permuted reader repacks the at most 64
-    # columns left and sorts them as integer keys within each group.
+    # first 64 columns, so the permuted reader sorts one 64-column round as
+    # integer keys, then repacks the at most 64 columns left and sorts them
+    # as integer keys within each group.
     rng = np.random.default_rng(y_size)
     x_size = 400
     perm = rng.permutation(y_size)
@@ -569,7 +570,7 @@ def test_key_path_sorts_a_narrow_radix_tail(monkeypatch, y_size, zeros):
     real = rowsort._row_keys
     monkeypatch.setattr(rowsort, "_row_keys", lambda rows: widths.append(rows.shape[1]) or real(rows))
     order, lcp = _sorted_prefixes(f, xs, perm)
-    assert widths == [-(-(y_size - 64) // 8)]
+    assert widths == [8, -(-(y_size - 64) // 8)]
     read = table[:, perm] if xs is None else table[xs][:, perm]
     want_order, want_lcp = reference_sorted_prefixes(read)
     assert np.array_equal(order, want_order)
@@ -874,6 +875,26 @@ def test_exhaustive_breaks_a_float_noise_tie_to_the_smaller_permutation():
     )
     assert 0.0 < gap < 1e-15
     assert make_ordering("exhaustive", f, dist, channel).perm == identity
+
+
+def test_exhaustive_reads_the_table_once_and_never_rebuilds_the_path(monkeypatch):
+    rng = np.random.default_rng(18)
+    f = BooleanFunction(20, 7, rng.integers(0, 2, 140))
+    reads = []
+    real_read = BooleanFunction.packed_rows
+
+    def read(self, xs=None, cols=None):
+        reads.append(cols)
+        return real_read(self, xs, cols)
+
+    def refused(*args):
+        raise AssertionError("the exhaustive search priced a path again")
+
+    monkeypatch.setattr(BooleanFunction, "packed_rows", read)
+    monkeypatch.setattr(icbound, "_price", refused)
+    monkeypatch.setattr(icbound, "_split", refused)
+    make_ordering("exhaustive", f, InputDistribution(rng.random(20)), Symmetric(0.1))
+    assert reads == [None]
 
 
 def depth_first_exhaustive(f, dist, channel):

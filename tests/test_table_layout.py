@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icbounds import (
+    ArgumentError,
     BooleanFunction,
     Disjointness,
     Equality,
@@ -170,6 +171,16 @@ def test_packed_rows_read_any_rows_at_any_columns(case):
         rows = f.packed_rows(xs)
         assert rows.flags.writeable and not np.shares_memory(rows, f.packed_rows())
         assert np.array_equal(rows, np.packbits(read, axis=1))
+
+
+@pytest.mark.parametrize(
+    "xs, cols",
+    [(None, [5, 7, -1]), ([-1], None), ([3], None), ([0, 3], [0]), ([0], [5]), (None, [-1])],
+)
+def test_packed_rows_refuse_indices_outside_the_table(xs, cols):
+    f = BooleanFunction(3, 5, [1] * 15)
+    with pytest.raises(ArgumentError):
+        f.packed_rows(xs, cols)
 
 
 @st.composite
