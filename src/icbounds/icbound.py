@@ -24,21 +24,31 @@ histories prune.
 
 The cells after step i are the nodes at depth i of the binary trie of the
 rows f(x, .) read in the ordering, and only the branching nodes (0 < q < 1)
-contribute.  ``_RefinementTrace`` finds all of them from one sort of the
-rows read in the ordering (module ``rowsort``: rows of at most 64 columns
-sorted as one integer key each, wider rows as byte strings under the
-identity ordering, and under any other ordering of more than 64 columns a
-radix refinement of the distinct rows that reads only the bits separating
-them).  Each adjacent pair of sorted rows that differ is one branching
-node, at the depth of their longest common prefix, and its cell reaches to
-the nearest pairs on either side with a shorter common prefix.  A shallow, wide trie (at least ``_NODES_PER_DEPTH`` nodes
-per depth, as Index under the natural ordering) builds those cells
-bottom-up, one depth at a time, merging each node's two child cells; a
-deep, sparse one (Equality, KIntersect under kint-proof) finds them by
-pointer jumping to the nearest shallower pairs.  Nodes of one step that are
-adjacent in the sort and have the same q are merged into one entry holding
-their summed mass, since they share one phi value (Index(n) keeps one entry
-per step).
+contribute.  ``_RefinementTrace`` finds all of them in one of two ways.
+When there are enough active inputs for distinct rows of |Y| columns to
+fill at least half of the 2**|Y| integer keys (|X active| <= 2**|Y| <= 2
+|X active|, as Index under any ordering), the trie is built over the key
+space with no sort (``_key_space_nodes``): the rows, read as keys, mark the
+keys they take and add their weights to prefix sums in key order, and the
+nodes of every depth are read from those two arrays from the deepest depth
+up, halving both at each depth.  A repeated row sends the keys already read
+to the sort.  Every other table takes one sort of the rows read in the
+ordering (module ``rowsort``: rows of at most 64 columns sorted as one
+integer key each, wider rows as byte strings under the identity ordering,
+and under any other ordering of more than 64 columns a radix refinement of
+the distinct rows that reads only the bits separating them).  Each adjacent
+pair of sorted rows that differ is one branching node, at the depth of
+their longest common prefix, and its cell reaches to the nearest pairs on
+either side with a shorter common prefix (``_sorted_nodes``).  A shallow,
+wide trie (at least ``_NODES_PER_DEPTH`` nodes per depth, as InnerProduct
+under unit-first) builds those cells bottom-up, one depth at a time,
+merging each node's two child cells; a deep, sparse one (Equality,
+KIntersect under kint-proof) finds them by pointer jumping to the nearest
+shallower pairs.  Both ways give every step's nodes in the lexicographic
+order of their prefixes, with bitwise the same q and mass.  Nodes of one
+step that are adjacent in that order and have the same q are merged into
+one entry holding their summed mass, since they share one phi value
+(Index(n) keeps one entry per step).
 The trace does not depend on the channel; only phi does.  ``compute_bound``
 prices one trace, and pricing one table under many channels -- the
 bisection over the error rate in ``prbox.max_bias`` -- evaluates phi again
@@ -91,7 +101,7 @@ from .infocalc import (
     binary_entropy_vec,
     conditional_mutual_information,
 )
-from .rowsort import _row_keys, _sorted_prefixes
+from .rowsort import _read_keys, _sort_keys, _sorted_prefixes
 
 #: Recorded in every report: how the guess channel is pinned down.
 CHANNEL_SEMANTICS = (
@@ -329,9 +339,9 @@ def _cells_by_depth(node: np.ndarray, offsets: list) -> tuple:
     hi = np.empty(node.size, dtype=np.int32)
     for a, z in reversed(list(itertools.pairwise(offsets))):
         if a < z:
-            at, start, end = node[a:z], lo[a:z], hi[a:z]
-            np.take(left, at, out=start)
-            np.take(right, at, out=end)
+            at = node[a:z]
+            start, end = left[at], right[at]
+            lo[a:z], hi[a:z] = start, end
             right[start] = end
             left[end] = start
     return lo, hi
@@ -349,28 +359,141 @@ _NODES_PER_DEPTH = 128
 _PHI_SLICE = 1 << 16
 
 
+def _sorted_nodes(order: np.ndarray, lcp: np.ndarray, wts: np.ndarray, y_size: int):
+    """The branching nodes of the trie of the active rows, from their sorted
+    ``order`` and the common prefix ``lcp`` of every adjacent pair
+    (``rowsort._sorted_prefixes``): the number of nodes at every depth, and
+    every node's q and cell mass, grouped by depth and in sorted order within
+    a depth.
+
+    Every adjacent pair of sorted rows that differ is exactly one branching
+    node, at the depth d of their longest common prefix, and its cell runs
+    between the nearest pairs on either side whose common prefix is shorter
+    than d.  The nodes are put in depth order by one stable sort on depth.
+    When there are at least ``_NODES_PER_DEPTH`` of them per depth that has
+    any, the cells are built from the deepest depth up, one numpy pass per
+    depth (``_cells_by_depth``).  Otherwise a few numpy passes per depth
+    would cost more than the nodes themselves, and the cell bounds are found
+    in sort order by pointer jumping (``_previous_smaller``).  Both give the
+    same bounds.  The prefix sums of the sorted weights are kept only at the
+    boundaries between distinct rows, so that the nodes' boundaries index
+    them directly.
+    """
+    # The prefix sums of the sorted weights.
+    cum = np.zeros(order.size + 1)
+    np.cumsum(wts[order], out=cum[1:])
+    del order
+    # Each adjacent pair of sorted rows that differ is one node, at the depth
+    # of their common prefix.  Boundary k lies after the k-th node's pair,
+    # boundary 0 before the first sorted row and the last after the last.  A
+    # node's cell is the sorted rows from boundary lo to boundary hi, and its
+    # rows from its own boundary to hi have a 1 in the column at the node's
+    # depth.
+    differ = lcp < y_size
+    depth = lcp[differ]
+    del lcp
+    if depth.size < cum.size - 2:
+        # From here on ``cum`` holds the prefix sums at the boundaries only:
+        # equal rows share one.
+        cum = np.concatenate((cum[:1], cum[1:-1][differ], cum[-1:]))
+    del differ
+    counts = np.bincount(depth, minlength=y_size)
+    # node: the boundary of every node, grouped by depth and in sorted order
+    # within a depth.  A stable sort of 8- or 16-bit integers is a radix
+    # sort, one pass per byte.
+    node = np.argsort(depth.astype(np.min_scalar_type(y_size - 1)), kind="stable")
+    node += 1
+    if depth.size >= _NODES_PER_DEPTH * np.count_nonzero(counts):
+        del depth
+        lo, hi = _cells_by_depth(node, [0, *np.cumsum(counts).tolist()])
+    else:
+        pair = node - 1
+        lo = _previous_smaller(depth)[pair]
+        hi = depth.size + 1 - _previous_smaller(depth[::-1])[::-1][pair]
+        del depth, pair
+    q = cum[node]
+    del node
+    mass = cum[lo]
+    del lo
+    top = cum[hi]
+    del cum, hi
+    np.subtract(top, mass, out=mass)
+    np.subtract(top, q, out=q)
+    del top
+    # A node's true mass is positive, but a difference of prefix sums rounds
+    # to 0 when the node's weights are below the rounding error of the sums
+    # (weights spanning some 16 orders of magnitude); q is then 0.
+    np.divide(q, mass, out=q, where=mass > 0.0)
+    return counts, q, mass
+
+
+def _key_space_nodes(f: BooleanFunction, xs, perm: np.ndarray, wts: np.ndarray):
+    """``_sorted_nodes`` of the active rows, read as keys of |Y| bits, built
+    over the 2**|Y| keys with no sort when the rows are distinct.
+
+    A key range [k 2**h, (k + 1) 2**h) holds the rows with prefix k, the cell
+    of the trie node k at depth |Y| - h, and the node branches when both of
+    its halves hold a row.  So the rows are scattered into two arrays indexed
+    by key, whether each key is taken and the prefix sums of the weights in
+    key order, and the nodes of every depth are read from them from the
+    deepest depth up, halving both arrays at each depth: a node's q and mass
+    are differences of the prefix sums at the start, middle and end of its
+    range.  Keys no row takes add 0.0 to the sums, which changes no bit, so
+    the sums at the rows are those of the sorted weights and every node
+    equals ``_sorted_nodes``'s.  A repeated row is found by the scatter, and
+    the keys already read are then sorted instead.
+    """
+    y_size = perm.size
+    key = _read_keys(f, xs, perm)
+    taken = np.zeros(1 << y_size, dtype=bool)
+    taken[key] = True
+    if np.count_nonzero(taken) < key.size:
+        return _sorted_nodes(*_sort_keys(key, y_size, y_size), wts, y_size)
+    cum = np.zeros(taken.size + 1)
+    cum[1:][key] = wts
+    del key
+    np.cumsum(cum, out=cum)
+    # A binary trie of n distinct leaves has n - 1 branching nodes.
+    q = np.empty(wts.size - 1)
+    mass = np.empty(wts.size - 1)
+    counts = np.zeros(y_size, dtype=np.int64)
+    end = q.size
+    for depth in reversed(range(y_size)):
+        branch = taken[0::2] & taken[1::2]
+        taken = taken[0::2] | taken[1::2]
+        counts[depth] = np.count_nonzero(branch)
+        start = end - counts[depth]
+        # When every node of the depth branches, the sums need no gather.
+        at = slice(None) if counts[depth] == branch.size else branch
+        top = cum[2::2][at]
+        np.subtract(top, cum[:-1:2][at], out=mass[start:end])
+        np.subtract(top, cum[1::2][at], out=q[start:end])
+        del top
+        cum = cum[::2].copy()
+        end = start
+    np.divide(q, mass, out=q, where=mass > 0.0)
+    return counts, q, mass
+
+
 class _RefinementTrace:
     """The refinement of X along ``perm``, as the branching nodes of the row trie.
 
     The cells after step i are the sets of active inputs whose rows, read in
     the order ``perm``, share their first i entries: the nodes at depth i of
     the binary trie of the rows.  Only a node with both children (0 < q < 1)
-    contributes to a term.  So the rows are sorted once in that order, and
-    the longest common prefix of each adjacent pair is found
-    (``rowsort._sorted_prefixes``).  Every adjacent
-    pair of sorted rows that differ is exactly one branching node, at the
-    depth of their longest common prefix d, and its cell runs between the
-    nearest pairs on either side whose common prefix is shorter than d.
-    The nodes are put in step order by one stable sort on depth.  When there
-    are at least ``_NODES_PER_DEPTH`` of them per depth that has any, the
-    cells are built from the deepest step up, one numpy pass per step
-    (``_cells_by_depth``), and come out in step order.  Otherwise a few
-    numpy passes per depth would cost more than the nodes themselves, and
-    the cell bounds are found in sort order by pointer jumping
-    (``_previous_smaller``) and then put in step order.  Both give the same
-    bounds.  Cell masses and ones masses are differences of the prefix sums
-    of the sorted weights, kept only at the boundaries, so that the nodes'
-    boundaries index them directly.
+    contributes to a term.  A node's cell mass and the mass of its rows with
+    a 1 at its depth are differences of the prefix sums of the weights taken
+    in the rows' lexicographic order.
+
+    The nodes are found in one of two ways, chosen from the number n of
+    active inputs before the table is read.  When n <= 2**|Y| <= 2n,
+    distinct rows fill at least half of the 2**|Y| keys of |Y| bits, and the
+    trie is built over the key space with no sort (``_key_space_nodes``);
+    if the rows read repeat, their keys are sorted instead.  Otherwise the
+    rows are sorted once in the ordering and each adjacent pair of differing
+    rows is one node (``_sorted_nodes``).  Both give the nodes grouped by
+    step, in the lexicographic order of their prefixes within a step, with
+    bitwise the same q and mass.
 
     The nodes are grouped by step, in the lexicographic order of their
     prefixes within a step, and each run of adjacent nodes of one step with
@@ -384,55 +507,15 @@ class _RefinementTrace:
 
     def __init__(self, f: BooleanFunction, dist: InputDistribution, perm):
         xs, wts = _support(f, dist)
-        y_size = len(perm)
-        order, lcp = _sorted_prefixes(f, xs, np.asarray(perm, dtype=np.int64))
-        # The prefix sums of the sorted weights, in place.
-        cum = np.zeros(order.size + 1)
-        np.take(wts, order, out=cum[1:])
-        del order
-        np.cumsum(cum[1:], out=cum[1:])
-        # Each adjacent pair of sorted rows that differ is one node, at the
-        # depth of their common prefix.  Boundary k lies after the k-th
-        # node's pair, boundary 0 before the first sorted row and the last
-        # after the last.  A node's cell is the sorted rows from boundary lo
-        # to boundary hi, and its rows from its own boundary to hi have a 1
-        # in the column at the node's depth.
-        differ = lcp < y_size
-        depth = lcp[differ]
-        del lcp
-        if depth.size < cum.size - 2:
-            # From here on ``cum`` holds the prefix sums at the boundaries
-            # only: equal rows share one.
-            cum = np.concatenate((cum[:1], cum[1:-1][differ], cum[-1:]))
-        del differ
-        counts = np.bincount(depth, minlength=y_size)
-        self.offsets = [0, *np.cumsum(counts).tolist()]
-        # node: the boundary of every node, grouped by step and in sorted
-        # order within a step.  A stable sort of 8- or 16-bit integers is a
-        # radix sort, one pass per byte.
-        node = np.argsort(depth.astype(np.min_scalar_type(y_size - 1)), kind="stable")
-        node += 1
-        if depth.size >= _NODES_PER_DEPTH * np.count_nonzero(counts):
-            del depth
-            lo, hi = _cells_by_depth(node, self.offsets)
+        perm = np.asarray(perm, dtype=np.int64)
+        y_size = perm.size
+        # Decided before the table is read: more rows than keys must repeat,
+        # and fewer than half as many leave the key space sparse.
+        if wts.size <= 1 << y_size <= 2 * wts.size:
+            counts, q, mass = _key_space_nodes(f, xs, perm, wts)
         else:
-            pair = node - 1
-            lo = _previous_smaller(depth)[pair]
-            hi = depth.size + 1 - _previous_smaller(depth[::-1])[::-1][pair]
-            del depth, pair
-        q = cum[node]
-        del node
-        mass = cum[lo]
-        del lo
-        top = cum[hi]
-        del cum, hi
-        np.subtract(top, mass, out=mass)
-        np.subtract(top, q, out=q)
-        del top
-        # A node's true mass is positive, but a difference of prefix sums
-        # rounds to 0 when the node's weights are below the rounding error of
-        # the sums (weights spanning some 16 orders of magnitude); q is then 0.
-        np.divide(q, mass, out=q, where=mass > 0.0)
+            counts, q, mass = _sorted_nodes(*_sorted_prefixes(f, xs, perm), wts, y_size)
+        self.offsets = [0, *np.cumsum(counts).tolist()]
         step = np.repeat(np.arange(y_size, dtype=np.int32), counts)
         # Adjacent nodes of one step with equal q share one phi value.
         first = np.ones(step.size, dtype=bool)
@@ -466,21 +549,27 @@ def compute_bound(
 ) -> BoundReport:
     """Evaluate the information lower bound by partition refinement.
 
-    Sorts the active rows once as stored, O(|X| log |X|) row comparisons,
-    finds the cell of every branching node of the row trie (at most |X| - 1)
-    in a few numpy passes per depth of a shallow, wide trie, or by pointer
-    jumping, O(|X| log |X|), in a deep, sparse one, and makes one phi
-    evaluation per run of adjacent nodes with equal q; suitable up to
-    |X| = |Y| = 2**14.  Under the identity ordering, or with |Y| <= 64,
-    that sort is the whole read; with |Y| <= 64 each row is one integer
-    key, so Index(20) (2**20 rows) sorts with one argsort of uint32.  Under
-    any other ordering the sort only collapses equal rows, and the distinct
-    rows are then read 64 permuted columns at a time, each only until it is
-    apart from every other: a few per cent of the table's bits for
-    KIntersect under kint-proof, well under one per cent for InnerProduct
-    under unit-first.  Rows that stay together over many columns (Equality
-    under a random ordering) are finished by one read of all their
-    remaining columns, about as costly as reading the whole table.
+    When the active rows would fill at least half of the 2**|Y| integer keys
+    if distinct (|X active| <= 2**|Y| <= 2 |X active|), reads each row once
+    as a key of |Y| bits and, if no row repeats, builds the row trie over
+    the key space with no sort, in a few numpy passes per depth over arrays
+    halving from 2**|Y| entries: Index(20) (2**20 rows) takes two arrays of
+    2**20 entries, a bool and a float64 one.  Otherwise sorts the active
+    rows once in the ordering, O(|X| log |X|) row comparisons, finds the
+    cell of every branching node of the row trie (at most |X| - 1) in a few
+    numpy passes per depth of a shallow, wide trie, or by pointer jumping,
+    O(|X| log |X|), in a deep, sparse one.  Either way makes one phi
+    evaluation per run of adjacent nodes with equal q; suitable up to |X| =
+    |Y| = 2**14.  Under the identity ordering, or with |Y| <= 64, the sort
+    is the whole read; with |Y| <= 64 each row is one integer key, sorted
+    with one argsort.  Under any other ordering the sort only collapses
+    equal rows, and the distinct rows are then read 64 permuted columns at a
+    time, each only until it is apart from every other: a few per cent of
+    the table's bits for KIntersect under kint-proof, well under one per
+    cent for InnerProduct under unit-first.  Rows that stay together over
+    many columns (Equality under a random ordering) are finished by one read
+    of all their remaining columns, about as costly as reading the whole
+    table.
     """
     ordering = _as_ordering(ordering, f.y_size)
     terms = _RefinementTrace(f, dist, ordering.perm).terms(channel)
@@ -677,9 +766,8 @@ def _exhaustive_perm(
             f"2**{y_size} subsets of Y; at most |Y| = {EXHAUSTIVE_HARD_LIMIT} is supported"
         )
     xs, wts = _support(f, dist)
-    rows = f.packed_rows(xs)
     # Bit y_size - 1 - y of a key, and of a subset, stands for column y.
-    keys = _row_keys(rows) >> np.uint32(8 * rows.shape[1] - y_size)
+    keys = _read_keys(f, xs, np.arange(y_size))
     # ones[b]: every input's weight where its column y_size - 1 - b is 1.
     ones = ((keys >> np.arange(y_size, dtype=np.uint32)[:, None]) & 1) * wts
     value = np.zeros(1 << y_size)

@@ -10,13 +10,14 @@ cols)``, which returns chosen rows at chosen columns in the table's packed
 layout (MSB first, zero-padded to a whole byte).  A row of at most 64
 columns (at most 8 packed bytes) is read as one unsigned integer, its bytes
 most significant first (``_row_keys``: uint32 for at most 4 bytes, uint64
-otherwise), so one stable argsort of the keys sorts the rows
+otherwise), and shifted right past its padding to a key of |Y| bits
+(``_read_keys``, which ``_RefinementTrace`` also uses to build the trie over
+the key space).  One stable argsort of the keys sorts the rows
 lexicographically, and two adjacent rows first differ at the leading bit of
 their keys' XOR.  Wider rows are sorted as byte strings, which compares
-them lexicographically too, and compared a byte at a time.  Under the
+them lexicographically too, and compared a byte at a time; under the
 identity ordering the sort reads the stored rows, with no copy when every
-input is active; rows of at most 64 columns under another ordering are read
-with their columns reordered, and sorted as keys.
+input is active.
 
 Wider rows under any other ordering are read only where they differ.  A
 column permutation keeps equal rows equal and distinct rows distinct, so
@@ -56,12 +57,29 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     """Packed rows of at most 8 bytes, each as one unsigned integer whose
     bytes, most significant first, are the row's: uint32 for rows of at most
     4 bytes, uint64 otherwise.  Comparing keys compares rows
-    lexicographically."""
+    lexicographically.  Rows of exactly 4 or 8 bytes are read as one
+    big-endian word each; other widths are shifted in a byte at a time,
+    since padding them to a word would cost more than the shifts."""
     width = rows.shape[1]
-    key = rows[:, 0].astype(np.uint32 if width <= 4 else np.uint64)
+    dtype = np.uint32 if width <= 4 else np.uint64
+    if width in (4, 8):
+        return np.ascontiguousarray(rows).view(f">u{width}")[:, 0].astype(dtype)
+    key = rows[:, 0].astype(dtype)
     for j in range(1, width):
         key <<= 8
         key |= rows[:, j]
+    return key
+
+
+def _read_keys(f: BooleanFunction, xs, perm: np.ndarray) -> np.ndarray:
+    """The active rows with their columns in ``perm`` order (at most 64),
+    each as one integer key of |Y| bits: ``_row_keys`` shifted right past
+    the zero padding, so that key k is the row whose bits, read as a binary
+    number, are k.  One read of the table."""
+    identity = np.array_equal(perm, np.arange(perm.size))
+    rows = f.packed_rows(xs, None if identity else perm)
+    key = _row_keys(rows)
+    key >>= key.dtype.type(8 * rows.shape[1] - perm.size)
     return key
 
 
@@ -105,6 +123,15 @@ def _common_prefixes(rows: np.ndarray, order: np.ndarray, y_size: int) -> np.nda
     return lcp
 
 
+def _sort_keys(key: np.ndarray, bits: int, y_size: int, group=None):
+    """``_sort_rows`` of rows given as their ``_row_keys`` (of rows of
+    ``bits`` packed bits, or shifted to ``y_size`` bits)."""
+    # lexsort's last key is its primary one.
+    order = np.argsort(key, kind="stable") if group is None else np.lexsort((key, group))
+    key = key[order]
+    return order, _key_prefixes(key, bits, y_size)
+
+
 def _sort_rows(rows: np.ndarray, y_size: int, group=None):
     """The stable lexicographic order of the packed ``rows`` of ``y_size``
     columns, and the longest common prefix of every adjacent pair (int32,
@@ -113,13 +140,7 @@ def _sort_rows(rows: np.ndarray, y_size: int, group=None):
     meaningless.  Rows of at most 8 bytes sort as ``_row_keys``; wider rows
     as byte strings, which compare lexicographically too."""
     if rows.shape[1] <= 8:
-        bits = 8 * rows.shape[1]
-        key = _row_keys(rows)
-        del rows
-        # lexsort's last key is its primary one.
-        order = np.argsort(key, kind="stable") if group is None else np.lexsort((key, group))
-        key = key[order]
-        return order, _key_prefixes(key, bits, y_size)
+        return _sort_keys(_row_keys(rows), 8 * rows.shape[1], y_size, group)
     order = np.argsort(rows.view(f"S{rows.shape[1]}")[:, 0], kind="stable")
     if group is not None:
         order = order[np.argsort(group[order], kind="stable")]
@@ -195,11 +216,13 @@ def _sorted_prefixes(f: BooleanFunction, xs, perm: np.ndarray):
     |Y| for equal rows).  The module docstring describes the two paths.
     """
     y_size = perm.size
-    identity = np.array_equal(perm, np.arange(y_size))
-    if identity or y_size <= _CHUNK:
-        return _sort_rows(f.packed_rows(xs, None if identity else perm), y_size)
-    # The classes of equal rows, each a run of ``order`` in x order.
+    if y_size <= _CHUNK:
+        return _sort_keys(_read_keys(f, xs, perm), y_size, y_size)
     order, lcp = _sort_rows(f.packed_rows(xs), y_size)
+    if np.array_equal(perm, np.arange(y_size)):
+        return order, lcp
+    # Under another ordering, these are the classes of equal rows, each a
+    # run of ``order`` in x order.
     first = np.flatnonzero(np.append(True, lcp < y_size))
     del lcp
     reps = order[first]

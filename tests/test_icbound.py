@@ -137,6 +137,15 @@ def test_index_closed_form_any_ordering(n, eps):
         assert compute_bound(f, dist, perm, channel).total == pytest.approx(expected, abs=1e-9)
 
 
+def test_index20_closed_form_under_a_random_ordering():
+    # 2**20 distinct rows fill the 2**20 keys: the trie is built over the
+    # keys, with no sort.
+    f = build_family(Index(20))
+    perm = Ordering(tuple(int(v) for v in np.random.default_rng(20).permutation(20)))
+    total = compute_bound(f, InputDistribution.uniform(f.x_size), perm, Symmetric(0.1)).total
+    assert abs(total - 20 * (1.0 - binary_entropy(0.1))) <= 1e-9
+
+
 def test_index4_symmetric_value():
     rep = uniform_bound(Index(4), standard_ordering(Index(4)), Symmetric(0.1))
     # 4 * (1 - h(0.1)); independently evaluated
@@ -542,14 +551,18 @@ def _spy(monkeypatch, module, name, calls):
 @pytest.mark.parametrize(
     "family, ordering, channel, paths",
     [
-        # Per-depth cell builder: 2**d branching nodes at depth d.
-        (Index(11), "natural", Symmetric(0.1), ["_cells_by_depth"]),
+        # Distinct rows filling the key space: the trie is built over the
+        # 2**11 keys, with no sort.
+        (Index(11), "natural", Symmetric(0.1), ["_key_space_nodes"]),
+        # Per-depth cell builder, 2**d branching nodes at depth d, after the
+        # radix reader has told the 2**11 rows apart in their first round.
+        (InnerProduct(11), "unit-first", Symmetric(0.1), ["_refine_distinct", "_cells_by_depth"]),
         # Permuted radix reader, its rows finished by one read of all the
         # columns left (the only read of more than 64 columns).
         (Equality(8), "random", Asymmetric(0.05, 0.2), ["_refine_distinct", "tail read"]),
         (KIntersect(8, 3), "kint-proof", Symmetric(0.1), ["_refine_distinct"]),
     ],
-    ids=["index11-natural", "eq8-random", "kint8-3-kint-proof"],
+    ids=["index11-natural", "ip11-unit-first", "eq8-random", "kint8-3-kint-proof"],
 )
 def test_oracle_agrees_on_the_paths_the_random_corpus_misses(
     family, ordering, channel, paths, monkeypatch
@@ -562,6 +575,7 @@ def test_oracle_agrees_on_the_paths_the_random_corpus_misses(
     else:
         perm = make_ordering(ordering, f, dist, channel, k=getattr(family, "k", None))
     calls = []
+    _spy(monkeypatch, icbound, "_key_space_nodes", calls)
     _spy(monkeypatch, icbound, "_cells_by_depth", calls)
     _spy(monkeypatch, rowsort, "_refine_distinct", calls)
     real_read = BooleanFunction.packed_rows

@@ -640,8 +640,9 @@ def test_trace_of_tall_tables_equals_pointer_jumping_bitwise(case):
 
 @pytest.mark.parametrize("family", [Index(12), InnerProduct(12), Equality(8), KIntersect(10, 5)])
 def test_family_traces_equal_pointer_jumping_bitwise(family):
-    # Index and InnerProduct are shallow, wide tries; Equality and
-    # KIntersect under their orderings are deep and sparse.
+    # Index's rows fill their key space, so its trie is built over the keys;
+    # InnerProduct is a shallow, wide trie; Equality and KIntersect under
+    # their orderings are deep and sparse.
     f = build_family(family)
     dist, perm = InputDistribution.uniform(f.x_size), standard_ordering(family).perm
     trace = _RefinementTrace(f, dist, perm)
@@ -649,6 +650,75 @@ def test_family_traces_equal_pointer_jumping_bitwise(family):
     assert trace.offsets == offsets
     for got, want in ((trace.step, step), (trace.q, q), (trace.mass, mass)):
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def distinct_row_tables(draw):
+    """Distinct rows of at most 14 columns, drawn as keys without
+    replacement and enough of them to fill at least half of the key space,
+    under a random ordering.  Weights may be 0, which can leave the active
+    rows too few for the key space, or 1e-300, below the rounding of the
+    prefix sums."""
+    y_size = draw(st.integers(1, 14))
+    x_size = draw(st.integers(max(1, 1 << (y_size - 1)), 1 << y_size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys = rng.choice(1 << y_size, x_size, replace=False)
+    table = ((keys[:, None] >> np.arange(y_size)[::-1]) & 1).astype(np.uint8)
+    weights = rng.random(x_size)
+    weights[rng.random(x_size) < draw(st.sampled_from([0.0, 0.1, 0.6]))] = 0.0
+    weights[rng.random(x_size) < draw(st.sampled_from([0.0, 0.3]))] = 1e-300
+    weights[int(rng.integers(0, x_size))] = 1.0
+    dist = InputDistribution.uniform(x_size) if draw(st.booleans()) else InputDistribution(weights)
+    return BooleanFunction(x_size, y_size, table), dist, tuple(int(v) for v in rng.permutation(y_size))
+
+
+@settings(max_examples=250, deadline=None)
+@given(distinct_row_tables())
+def test_trace_of_distinct_rows_equals_pointer_jumping_bitwise(case):
+    f, dist, perm = case
+    active = np.count_nonzero(dist.weights)
+    event("key space" if active <= 1 << f.y_size <= 2 * active else "sorted")
+    trace = _RefinementTrace(f, dist, perm)
+    step, q, mass, offsets = pointer_jumping_trace(f, dist, perm)
+    assert trace.offsets == offsets
+    for got, want in ((trace.step, step), (trace.q, q), (trace.mass, mass)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case, builders", [
+    ("distinct", ["_key_space_nodes"]),
+    # The scatter finds the repeat, and the keys it read are sorted.
+    ("repeated row", ["_key_space_nodes", "_sorted_nodes"]),
+    # 500 rows fill less than half of the 2**10 keys: sorted, as decided
+    # before the read.
+    ("sparse", ["_sorted_nodes"]),
+])
+def test_key_space_falls_back_to_the_sort_with_one_table_read(monkeypatch, case, builders):
+    rng = np.random.default_rng(20)
+    keys = rng.choice(1 << 10, 700, replace=False)
+    if case == "repeated row":
+        keys[-1] = keys[0]
+    elif case == "sparse":
+        keys = keys[:500]
+    table = ((keys[:, None] >> np.arange(10)[::-1]) & 1).astype(np.uint8)
+    f = BooleanFunction(keys.size, 10, table)
+    dist = InputDistribution(rng.random(keys.size))
+    perm = tuple(int(v) for v in rng.permutation(10))
+    want = pointer_jumping_trace(f, dist, perm)
+    calls, reads = [], []
+    for name in ("_key_space_nodes", "_sorted_nodes"):
+        real = getattr(icbound, name)
+        monkeypatch.setattr(icbound, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    real_read = BooleanFunction.packed_rows
+    monkeypatch.setattr(
+        BooleanFunction, "packed_rows", lambda self, *args: reads.append(args) or real_read(self, *args)
+    )
+    trace = _RefinementTrace(f, dist, perm)
+    assert calls == builders
+    assert len(reads) == 1
+    assert trace.offsets == want[3]
+    for got, expected in zip((trace.step, trace.q, trace.mass), want):
+        assert got.tobytes() == expected.tobytes()
 
 
 def edges_gather_terms(f, dist, perm, channel):
