@@ -39,16 +39,12 @@ and under any other ordering of more than 64 columns a radix refinement of
 the distinct rows that reads only the bits separating them).  Each adjacent
 pair of sorted rows that differ is one branching node, at the depth of
 their longest common prefix, and its cell reaches to the nearest pairs on
-either side with a shorter common prefix (``_sorted_nodes``).  A shallow,
-wide trie (at least ``_NODES_PER_DEPTH`` nodes per depth, as InnerProduct
-under unit-first) builds those cells bottom-up, one depth at a time,
-merging each node's two child cells; a deep, sparse one (Equality,
-KIntersect under kint-proof) finds them by pointer jumping to the nearest
-shallower pairs.  Both ways give every step's nodes in the lexicographic
-order of their prefixes, with bitwise the same q and mass.  Nodes of one
-step that are adjacent in that order and have the same q are merged into
-one entry holding their summed mass, since they share one phi value
-(Index(n) keeps one entry per step).
+either side with a shorter common prefix, found by pointer jumping
+(``_sorted_nodes``).  Both ways give every step's nodes in the
+lexicographic order of their prefixes, with bitwise the same q and mass.
+Nodes of one step that are adjacent in that order and have the same q are
+merged into one entry holding their summed mass, since they share one phi
+value (Index(n) keeps one entry per step).
 The trace does not depend on the channel; only phi does.  ``compute_bound``
 prices one trace, and pricing one table under many channels -- the
 bisection over the error rate in ``prbox.max_bias`` -- evaluates phi again
@@ -78,7 +74,6 @@ machinery (no sort, common prefix, trie, ``_split`` or ``_price``).
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -319,42 +314,6 @@ def _previous_smaller(values: np.ndarray) -> np.ndarray:
     return ptr[1:]
 
 
-def _cells_by_depth(node: np.ndarray, offsets: list) -> tuple:
-    """The cell of every branching node, found bottom-up one depth at a time.
-
-    Boundary k lies before distinct sorted row k (counting from 0), and the
-    last boundary after the last row.  The nodes of depth d sit at the
-    boundaries ``node[offsets[d]:offsets[d + 1]]``.  ``left[b]`` is where
-    the cell ending at boundary b starts and ``right[b]`` where the cell
-    starting at b ends; at first every cell is one distinct row.  From
-    the deepest depth up, each node joins the cell that ends at its boundary
-    with the cell that starts there.  In a binary trie the cells of one
-    depth are disjoint, so no two of its nodes write the same entry.
-    Returns the boundaries where every node's cell starts and ends (int32,
-    in the order of ``node``).
-    """
-    left = np.arange(-1, node.size + 1, dtype=np.int32)
-    right = np.arange(1, node.size + 3, dtype=np.int32)
-    lo = np.empty(node.size, dtype=np.int32)
-    hi = np.empty(node.size, dtype=np.int32)
-    for a, z in reversed(list(itertools.pairwise(offsets))):
-        if a < z:
-            at = node[a:z]
-            start, end = left[at], right[at]
-            lo[a:z], hi[a:z] = start, end
-            right[start] = end
-            left[end] = start
-    return lo, hi
-
-
-#: A trie with at least this many branching nodes per depth that has any
-#: builds its cells one depth at a time (``_cells_by_depth``), which costs a
-#: few numpy calls per depth; sparser tries use pointer jumping
-#: (``_previous_smaller``), which costs a few passes over the nodes.  The
-#: two took equal time at about 100 nodes per depth, on tries of 500 to
-#: 130 000 nodes (2-core x86_64, numpy 2.4).
-_NODES_PER_DEPTH = 128
-
 #: ``_RefinementTrace.terms`` evaluates phi over at most this many nodes at once.
 _PHI_SLICE = 1 << 16
 
@@ -369,15 +328,11 @@ def _sorted_nodes(order: np.ndarray, lcp: np.ndarray, wts: np.ndarray, y_size: i
     Every adjacent pair of sorted rows that differ is exactly one branching
     node, at the depth d of their longest common prefix, and its cell runs
     between the nearest pairs on either side whose common prefix is shorter
-    than d.  The nodes are put in depth order by one stable sort on depth.
-    When there are at least ``_NODES_PER_DEPTH`` of them per depth that has
-    any, the cells are built from the deepest depth up, one numpy pass per
-    depth (``_cells_by_depth``).  Otherwise a few numpy passes per depth
-    would cost more than the nodes themselves, and the cell bounds are found
-    in sort order by pointer jumping (``_previous_smaller``).  Both give the
-    same bounds.  The prefix sums of the sorted weights are kept only at the
-    boundaries between distinct rows, so that the nodes' boundaries index
-    them directly.
+    than d, found in sort order by pointer jumping (``_previous_smaller``).
+    The nodes are put in depth order by one stable sort on depth.  The
+    prefix sums of the sorted weights are kept only at the boundaries
+    between distinct rows, so that the nodes' boundaries index them
+    directly.
     """
     # The prefix sums of the sorted weights.
     cum = np.zeros(order.size + 1)
@@ -403,14 +358,10 @@ def _sorted_nodes(order: np.ndarray, lcp: np.ndarray, wts: np.ndarray, y_size: i
     # sort, one pass per byte.
     node = np.argsort(depth.astype(np.min_scalar_type(y_size - 1)), kind="stable")
     node += 1
-    if depth.size >= _NODES_PER_DEPTH * np.count_nonzero(counts):
-        del depth
-        lo, hi = _cells_by_depth(node, [0, *np.cumsum(counts).tolist()])
-    else:
-        pair = node - 1
-        lo = _previous_smaller(depth)[pair]
-        hi = depth.size + 1 - _previous_smaller(depth[::-1])[::-1][pair]
-        del depth, pair
+    pair = node - 1
+    lo = _previous_smaller(depth)[pair]
+    hi = depth.size + 1 - _previous_smaller(depth[::-1])[::-1][pair]
+    del depth, pair
     q = cum[node]
     del node
     mass = cum[lo]
@@ -448,7 +399,10 @@ def _key_space_nodes(f: BooleanFunction, xs, perm: np.ndarray, wts: np.ndarray):
     taken = np.zeros(1 << y_size, dtype=bool)
     taken[key] = True
     if np.count_nonzero(taken) < key.size:
-        return _sorted_nodes(*_sort_keys(key, y_size, y_size), wts, y_size)
+        del taken
+        order, lcp = _sort_keys(key, y_size, y_size)
+        del key
+        return _sorted_nodes(order, lcp, wts, y_size)
     cum = np.zeros(taken.size + 1)
     cum[1:][key] = wts
     del key
@@ -463,7 +417,10 @@ def _key_space_nodes(f: BooleanFunction, xs, perm: np.ndarray, wts: np.ndarray):
         taken = taken[0::2] | taken[1::2]
         counts[depth] = np.count_nonzero(branch)
         start = end - counts[depth]
-        # When every node of the depth branches, the sums need no gather.
+        # When every node of the depth branches, the sums need no gather:
+        # on Index(20) this function took 33-34 ms with strided views and
+        # 39-41 ms with a boolean gather at every depth (min of 15, 2-core
+        # x86_64, numpy 2.4).
         at = slice(None) if counts[depth] == branch.size else branch
         top = cum[2::2][at]
         np.subtract(top, cum[:-1:2][at], out=mass[start:end])
@@ -555,10 +512,9 @@ def compute_bound(
     the key space with no sort, in a few numpy passes per depth over arrays
     halving from 2**|Y| entries: Index(20) (2**20 rows) takes two arrays of
     2**20 entries, a bool and a float64 one.  Otherwise sorts the active
-    rows once in the ordering, O(|X| log |X|) row comparisons, finds the
-    cell of every branching node of the row trie (at most |X| - 1) in a few
-    numpy passes per depth of a shallow, wide trie, or by pointer jumping,
-    O(|X| log |X|), in a deep, sparse one.  Either way makes one phi
+    rows once in the ordering, O(|X| log |X|) row comparisons, and finds
+    the cell of every branching node of the row trie (at most |X| - 1) by
+    pointer jumping, O(|X| log |X|).  Either way makes one phi
     evaluation per run of adjacent nodes with equal q; suitable up to |X| =
     |Y| = 2**14.  Under the identity ordering, or with |Y| <= 64, the sort
     is the whole read; with |Y| <= 64 each row is one integer key, sorted

@@ -554,9 +554,9 @@ def _spy(monkeypatch, module, name, calls):
         # Distinct rows filling the key space: the trie is built over the
         # 2**11 keys, with no sort.
         (Index(11), "natural", Symmetric(0.1), ["_key_space_nodes"]),
-        # Per-depth cell builder, 2**d branching nodes at depth d, after the
+        # A shallow, wide trie, 2**d branching nodes at depth d, after the
         # radix reader has told the 2**11 rows apart in their first round.
-        (InnerProduct(11), "unit-first", Symmetric(0.1), ["_refine_distinct", "_cells_by_depth"]),
+        (InnerProduct(11), "unit-first", Symmetric(0.1), ["_refine_distinct"]),
         # Permuted radix reader, its rows finished by one read of all the
         # columns left (the only read of more than 64 columns).
         (Equality(8), "random", Asymmetric(0.05, 0.2), ["_refine_distinct", "tail read"]),
@@ -576,7 +576,6 @@ def test_oracle_agrees_on_the_paths_the_random_corpus_misses(
         perm = make_ordering(ordering, f, dist, channel, k=getattr(family, "k", None))
     calls = []
     _spy(monkeypatch, icbound, "_key_space_nodes", calls)
-    _spy(monkeypatch, icbound, "_cells_by_depth", calls)
     _spy(monkeypatch, rowsort, "_refine_distinct", calls)
     real_read = BooleanFunction.packed_rows
 

@@ -30,9 +30,7 @@ from icbounds import (
     standard_ordering,
 )
 from icbounds.icbound import (
-    _NODES_PER_DEPTH,
     _PHI_SLICE,
-    _cells_by_depth,
     _previous_smaller,
     _RefinementTrace,
     _split,
@@ -607,9 +605,9 @@ def pointer_jumping_trace(f, dist, perm):
 @st.composite
 def tall_tables(draw):
     """A table of thousands of rows and at most 16 columns: with many
-    distinct rows a shallow, wide trie (cells built one depth at a time),
-    with few a sparse one (pointer jumping).  Rows repeat, and weights may be
-    0 or 1e-300, below the rounding of the prefix sums."""
+    distinct rows a shallow, wide trie, with few a sparse one.  Rows repeat,
+    and weights may be 0 or 1e-300, below the rounding of the prefix
+    sums."""
     x_size = draw(st.integers(1000, 6000))
     y_size = draw(st.integers(1, 16))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -630,9 +628,6 @@ def test_trace_of_tall_tables_equals_pointer_jumping_bitwise(case):
     f, dist, perm = case
     trace = _RefinementTrace(f, dist, perm)
     step, q, mass, offsets = pointer_jumping_trace(f, dist, perm)
-    counts = np.diff(offsets)
-    by_depth = offsets[-1] >= _NODES_PER_DEPTH * np.count_nonzero(counts)
-    event("cells one depth at a time" if by_depth else "pointer jumping")
     assert trace.offsets == offsets
     for got, want in ((trace.step, step), (trace.q, q), (trace.mass, mass)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -641,8 +636,8 @@ def test_trace_of_tall_tables_equals_pointer_jumping_bitwise(case):
 @pytest.mark.parametrize("family", [Index(12), InnerProduct(12), Equality(8), KIntersect(10, 5)])
 def test_family_traces_equal_pointer_jumping_bitwise(family):
     # Index's rows fill their key space, so its trie is built over the keys;
-    # InnerProduct is a shallow, wide trie; Equality and KIntersect under
-    # their orderings are deep and sparse.
+    # the others are sorted: InnerProduct is a shallow, wide trie, Equality
+    # and KIntersect under their orderings are deep and sparse.
     f = build_family(family)
     dist, perm = InputDistribution.uniform(f.x_size), standard_ordering(family).perm
     trace = _RefinementTrace(f, dist, perm)
@@ -739,12 +734,9 @@ def edges_gather_terms(f, dist, perm, channel):
     offsets = [0, *np.cumsum(counts).tolist()]
     node = np.argsort(depth.astype(np.uint16) if y_size < 1 << 16 else depth, kind="stable")
     node += 1
-    if depth.size >= _NODES_PER_DEPTH * np.count_nonzero(counts):
-        lo, hi = _cells_by_depth(node, offsets)
-    else:
-        pair = node - 1
-        lo = _previous_smaller(depth)[pair]
-        hi = depth.size + 1 - _previous_smaller(depth[::-1])[::-1][pair]
+    pair = node - 1
+    lo = _previous_smaller(depth)[pair]
+    hi = depth.size + 1 - _previous_smaller(depth[::-1])[::-1][pair]
     lo, hi, node = edges[lo], edges[hi], edges[node]
     mass = cum[hi] - cum[lo]
     q = cum[hi] - cum[node]
