@@ -407,12 +407,19 @@ def build_family(family: FunctionFamily) -> BooleanFunction:
 # ---------------------------------------------------------------------------
 
 
+def _parse_json(text: str, what: str):
+    """``text`` parsed as JSON.  Whatever the parser refuses raises
+    ``TruthTableFormatError`` naming ``what``: malformed text, an integer of
+    more than 4300 digits (a ``ValueError``) or nesting too deep to recurse."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise TruthTableFormatError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def load_truth_table(text: str) -> BooleanFunction:
     """Parse the JSON truth-table format documented at module level."""
-    try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise TruthTableFormatError(f"not valid JSON: {exc}") from exc
+    data = _parse_json(text, "truth table")
     if not isinstance(data, dict):
         raise TruthTableFormatError("truth table must be a JSON object")
     for key in ("x_size", "y_size", "bits"):
@@ -515,10 +522,7 @@ class InputDistribution:
 
     @classmethod
     def from_json(cls, text: str, label: str = "file") -> "InputDistribution":
-        try:
-            data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise TruthTableFormatError(f"not valid JSON: {exc}") from exc
+        data = _parse_json(text, "distribution file")
         if not isinstance(data, list) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in data
         ):

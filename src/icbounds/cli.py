@@ -25,7 +25,7 @@ import json
 import sys
 from pathlib import Path
 
-from .boolfn import FAMILIES, InputDistribution, build_family, load_truth_table
+from .boolfn import FAMILIES, InputDistribution, _parse_json, build_family, load_truth_table
 from .classify import census_table, hierarchy_check
 from .errors import (
     ArgumentError,
@@ -163,24 +163,13 @@ def _resolve_ordering(args, f, dist, channel):
     spec = args.ordering
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        try:
-            data = json.loads(_read_text(path))
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise TruthTableFormatError(f"ordering file is not valid JSON: {exc}") from exc
+        data = _parse_json(_read_text(path), "ordering file")
         # type() rather than isinstance(): bools are ints, and floats such
         # as 1.9 must not be truncated into an index.
         if not isinstance(data, list) or any(type(v) is not int for v in data):
             raise TruthTableFormatError("ordering file must be a JSON array of integer y indices")
         return Ordering(tuple(data), strategy=f"file:{path}")
-    return make_ordering(
-        spec,
-        f,
-        dist,
-        channel,
-        k=args.k,
-        threads=args.threads,
-        allow_big_exhaustive=args.allow_big_exhaustive,
-    )
+    return make_ordering(spec, f, dist, channel, k=args.k, threads=args.threads)
 
 
 def _parse_biases(spec: str, count: int) -> list:
@@ -455,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bound.add_argument("--dist", default="uniform", help="uniform|file:PATH")
     p_bound.add_argument("--threads", type=int, default=1)
-    p_bound.add_argument("--allow-big-exhaustive", action="store_true")
     _add_common(p_bound)
     p_bound.set_defaults(handler=_handle_bound, needs_source=True)
 

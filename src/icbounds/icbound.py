@@ -104,12 +104,14 @@ CHANNEL_SEMANTICS = (
     "stated rate, independently for every input pair"
 )
 
-#: Exhaustive ordering search refuses beyond this |Y| unless overridden.
-EXHAUSTIVE_LIMIT = 16
-
-#: Exhaustive ordering search refuses beyond this |Y| even when overridden:
+#: Exhaustive ordering search refuses beyond this |Y|, before anything else:
 #: it keeps one float and one byte per subset of Y (144 MiB at |Y| = 24).
 EXHAUSTIVE_HARD_LIMIT = 24
+
+#: Exhaustive ordering search refuses when |X active| * |Y| * 2**(|Y| - 1),
+#: the (subset, input, free column) triples it prices, is above this:
+#: Index(12) (2**26.6) takes about 2.5 s, Index(14) (2**30.8) is refused.
+EXHAUSTIVE_LIMIT = 1 << 30
 
 #: Greedy ordering search refuses when |X active| * |Y|**2, the (input,
 #: column) pairs it prices over all its steps, is above this: Equality(10)
@@ -219,7 +221,7 @@ class Ordering:
     def __post_init__(self):
         perm = _integer_entries(self.perm, "ordering", "y index")
         if not _is_permutation(perm):
-            raise ArgumentError(f"not a permutation of 0..{len(perm) - 1}: {perm!r}")
+            raise ArgumentError(_not_a_permutation(perm))
         object.__setattr__(self, "perm", perm)
 
     def __len__(self) -> int:
@@ -237,6 +239,19 @@ def _is_permutation(values: tuple) -> bool:
         return False
     # n entries in range(n) are a permutation when none repeats.
     return bool(np.all(np.bincount(entries, minlength=entries.size) == 1))
+
+
+def _not_a_permutation(values: tuple) -> str:
+    """Why the Python ints ``values``, not a permutation, are not one: their
+    length and the first entry out of range or repeated, whose value is shown
+    only when it fits in 64 bits, so that the message stays short."""
+    n, seen = len(values), set()
+    for i, v in enumerate(values):
+        if not 0 <= v < n or v in seen:
+            shown = f" = {v}" if v.bit_length() <= 64 else ""
+            why = "repeats" if v in seen else f"is outside 0..{n - 1}"
+            return f"ordering of length {n} is not a permutation: entry {i}{shown} {why}"
+        seen.add(v)
 
 
 def _as_ordering(ordering, y_size: int) -> Ordering:
@@ -442,24 +457,17 @@ class _RefinementTrace:
     a 1 at its depth are differences of the prefix sums of the weights taken
     in the rows' lexicographic order.
 
-    The nodes are found in one of two ways, chosen from the number n of
-    active inputs before the table is read.  When n <= 2**|Y| <= 2n,
-    distinct rows fill at least half of the 2**|Y| keys of |Y| bits, and the
-    trie is built over the key space with no sort (``_key_space_nodes``);
-    if the rows read repeat, their keys are sorted instead.  Otherwise the
-    rows are sorted once in the ordering and each adjacent pair of differing
-    rows is one node (``_sorted_nodes``).  Both give the nodes grouped by
-    step, in the lexicographic order of their prefixes within a step, with
-    bitwise the same q and mass.
-
-    The nodes are grouped by step, in the lexicographic order of their
-    prefixes within a step, and each run of adjacent nodes of one step with
-    exactly equal q is merged into one entry: ``step``, ``q`` and ``mass``
-    (the run's summed mass) hold one value per entry.  Only equal q merge,
-    so no tolerance is involved; under weights that make every cell's q
-    distinct nothing merges.  ``offsets`` still counts the branching nodes
-    per step before merging: step i had ``offsets[i + 1] - offsets[i]`` of
-    them.  Duplicate rows and cells that no longer split cost nothing.
+    The nodes come from the key space (``_key_space_nodes``) or from one
+    sort of the rows (``_sorted_nodes``), as the module docstring describes,
+    with bitwise the same q and mass.  They are grouped by step, in the
+    lexicographic order of their prefixes within a step, and each run of
+    adjacent nodes of one step with exactly equal q is merged into one
+    entry: ``step``, ``q`` and ``mass`` (the run's summed mass) hold one
+    value per entry.  Only equal q merge, so no tolerance is involved; under
+    weights that make every cell's q distinct nothing merges.  ``offsets``
+    still counts the branching nodes per step before merging: step i had
+    ``offsets[i + 1] - offsets[i]`` of them.  Duplicate rows and cells that
+    no longer split cost nothing.
     """
 
     def __init__(self, f: BooleanFunction, dist: InputDistribution, perm):
@@ -506,26 +514,13 @@ def compute_bound(
 ) -> BoundReport:
     """Evaluate the information lower bound by partition refinement.
 
-    When the active rows would fill at least half of the 2**|Y| integer keys
-    if distinct (|X active| <= 2**|Y| <= 2 |X active|), reads each row once
-    as a key of |Y| bits and, if no row repeats, builds the row trie over
-    the key space with no sort, in a few numpy passes per depth over arrays
-    halving from 2**|Y| entries: Index(20) (2**20 rows) takes two arrays of
-    2**20 entries, a bool and a float64 one.  Otherwise sorts the active
-    rows once in the ordering, O(|X| log |X|) row comparisons, and finds
-    the cell of every branching node of the row trie (at most |X| - 1) by
-    pointer jumping, O(|X| log |X|).  Either way makes one phi
-    evaluation per run of adjacent nodes with equal q; suitable up to |X| =
-    |Y| = 2**14.  Under the identity ordering, or with |Y| <= 64, the sort
-    is the whole read; with |Y| <= 64 each row is one integer key, sorted
-    with one argsort.  Under any other ordering the sort only collapses
-    equal rows, and the distinct rows are then read 64 permuted columns at a
-    time, each only until it is apart from every other: a few per cent of
-    the table's bits for KIntersect under kint-proof, well under one per
-    cent for InnerProduct under unit-first.  Rows that stay together over
-    many columns (Equality under a random ordering) are finished by one read
-    of all their remaining columns, about as costly as reading the whole
-    table.
+    The report holds one term per step of ``ordering`` (an ``Ordering`` or a
+    permutation of Y) and their ``math.fsum``.  Reads every active row once
+    and builds the branching nodes of the row trie (``_RefinementTrace``):
+    O(|X| log |X|) row comparisons, or a few passes over arrays of 2**|Y|
+    entries when distinct rows fill at least half of the key space; then one
+    phi evaluation per run of adjacent nodes with equal q.  Suitable up to
+    |X| = |Y| = 2**14.
     """
     ordering = _as_ordering(ordering, f.y_size)
     terms = _RefinementTrace(f, dist, ordering.perm).terms(channel)
@@ -682,12 +677,7 @@ def _greedy_perm(f: BooleanFunction, dist: InputDistribution, channel: ChannelMo
     return tuple(perm)
 
 
-def _exhaustive_perm(
-    f: BooleanFunction,
-    dist: InputDistribution,
-    channel: ChannelModel,
-    allow_big: bool,
-) -> tuple:
+def _exhaustive_perm(f: BooleanFunction, dist: InputDistribution, channel: ChannelModel) -> tuple:
     """The lexicographically smallest permutation of Y whose total is maximal.
 
     The partition after a prefix depends only on the set S of columns used,
@@ -710,18 +700,19 @@ def _exhaustive_perm(
     from S = {}.
     """
     y_size = f.y_size
-    if y_size > EXHAUSTIVE_LIMIT and not allow_big:
-        raise ExhaustiveSearchRefusal(
-            f"exhaustive ordering over |Y| = {y_size} means pricing "
-            f"2**{y_size} = {1 << y_size} subsets of Y; "
-            "pass allow_big_exhaustive to override"
-        )
     if y_size > EXHAUSTIVE_HARD_LIMIT:
         raise ExhaustiveSearchRefusal(
             f"exhaustive ordering over |Y| = {y_size} needs a value for each of "
             f"2**{y_size} subsets of Y; at most |Y| = {EXHAUSTIVE_HARD_LIMIT} is supported"
         )
     xs, wts = _support(f, dist)
+    work = wts.size * y_size << (y_size - 1)
+    if work > EXHAUSTIVE_LIMIT:
+        raise ExhaustiveSearchRefusal(
+            f"exhaustive ordering over {wts.size} active inputs and |Y| = {y_size} means "
+            f"pricing 2**{y_size} = {1 << y_size} subsets of Y, |X| * |Y| * 2**(|Y| - 1) = "
+            f"{work} (subset, input, free column) triples; at most {EXHAUSTIVE_LIMIT} is supported"
+        )
     # Bit y_size - 1 - y of a key, and of a subset, stands for column y.
     keys = _read_keys(f, xs, np.arange(y_size))
     # ones[b]: every input's weight where its column y_size - 1 - b is 1.
@@ -814,7 +805,6 @@ def make_ordering(
     *,
     k: Optional[int] = None,
     threads: int = 1,
-    allow_big_exhaustive: bool = False,
 ) -> Ordering:
     """Build an ordering of Bob's inputs.
 
@@ -831,8 +821,9 @@ def make_ordering(
                  programming over the subsets of Y, priced one batch per
                  subset size; among permutations whose totals agree with
                  the maximum to within 1e-12 * max(1, |total|) per step, the
-                 lexicographically smallest.  Refuses |Y| > 16 unless
-                 ``allow_big_exhaustive`` is set, and |Y| > 24 in any case.
+                 lexicographically smallest.  Refuses |Y| > 24
+                 (``EXHAUSTIVE_HARD_LIMIT``), then when |X active| * |Y| *
+                 2**(|Y| - 1) exceeds ``EXHAUSTIVE_LIMIT``.
 
     ``threads`` is accepted for compatibility and has no effect.
     """
@@ -847,7 +838,7 @@ def make_ordering(
     channel = channel if channel is not None else Deterministic()
     if name == "greedy":
         return Ordering(_greedy_perm(f, dist, channel), "greedy")
-    return Ordering(_exhaustive_perm(f, dist, channel, allow_big_exhaustive), "exhaustive")
+    return Ordering(_exhaustive_perm(f, dist, channel), "exhaustive")
 
 
 def _fixed_ordering(name: str, y_size: int, k) -> Ordering:

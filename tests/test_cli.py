@@ -123,6 +123,16 @@ def test_bound_exhaustive_refusal_exit_code(capsys):
     assert "131072" in err
 
 
+@pytest.mark.parametrize("family", [["eq", "--n", "14"], ["kint", "--n", "14", "--k", "7"]])
+def test_bound_exhaustive_refusal_of_a_wide_family_is_one_short_line(capsys, family):
+    # |Y| = 2**14: 2**16384 has more than the 4300 digits Python turns into a string.
+    code, out, err = run_cli(capsys, "bound", "--family", *family, "--ordering", "exhaustive")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and len(err) < 300
+
+
 def test_bound_text_and_csv_formats(capsys):
     code, out, _ = run_cli(capsys, "bound", "--family", "eq", "--n", "1")
     assert code == 0
@@ -309,6 +319,26 @@ def test_malformed_ordering_files_are_refused(capsys, tmp_path, content):
     assert code == 2
     assert out == ""
     assert "ordering file" in err
+
+
+@pytest.mark.parametrize(
+    "flag, content, what",
+    [
+        ("--table", '{"x_size": %s, "y_size": 1, "bits": "0"}', "truth table"),
+        ("--dist", "[%s, 1, 1, 1]", "distribution file"),
+        ("--ordering", "[%s, 1, 0, 3]", "ordering file"),
+    ],
+)
+def test_input_files_with_an_integer_of_5000_digits_are_refused(capsys, tmp_path, flag, content, what):
+    # Python's JSON parser raises a plain ValueError on more than 4300 digits.
+    path = tmp_path / "big.json"
+    path.write_text(content % ("9" * 5000), encoding="utf-8")
+    source = [] if flag == "--table" else ["--table", write_disj2_table(tmp_path)]
+    value = str(path) if flag == "--table" else f"file:{path}"
+    code, out, err = run_cli(capsys, "bound", *source, flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"{what} is not valid JSON" in err
 
 
 @pytest.mark.parametrize("content", ["[1, NaN, 1, 1]", "[1, Infinity, 1, 1]", "[-Infinity, 1, 1, 1]"])

@@ -332,7 +332,32 @@ def test_exhaustive_refusal_names_cost():
 def test_exhaustive_refuses_more_subsets_than_it_can_hold_even_when_allowed():
     f = BooleanFunction(2, 40, [0, 1] * 40)
     with pytest.raises(ExhaustiveSearchRefusal, match=r"2\*\*40 subsets"):
-        make_ordering("exhaustive", f, allow_big_exhaustive=True)
+        make_ordering("exhaustive", f)
+
+
+def test_exhaustive_refusal_of_a_wide_table_stays_short():
+    # 2**14300 has more than the 4300 digits Python turns into a string.
+    f = BooleanFunction(1, 14300, np.zeros(14300, dtype=np.uint8))
+    with pytest.raises(ExhaustiveSearchRefusal, match=r"2\*\*14300 subsets") as refusal:
+        make_ordering("exhaustive", f)
+    assert len(str(refusal.value)) < 200
+
+
+def test_exhaustive_refuses_above_its_work_limit_before_reading_the_table(monkeypatch):
+    # Three active inputs and |Y| = 3: 3 * 3 * 2**2 = 36 (subset, input, free column) triples.
+    f = BooleanFunction(4, 3, [0, 1] * 6)
+    dist = InputDistribution([1.0, 0.0, 1.0, 1.0])
+
+    def unread(*args):
+        raise AssertionError("the table was read")
+
+    monkeypatch.setattr(icbound, "EXHAUSTIVE_LIMIT", 36 - 1)
+    monkeypatch.setattr(icbound, "_read_keys", unread)
+    with pytest.raises(ExhaustiveSearchRefusal, match=r"3 active inputs .*2\*\*3 = 8 subsets.* = 36 "):
+        make_ordering("exhaustive", f, dist)
+    monkeypatch.setattr(icbound, "EXHAUSTIVE_LIMIT", 36)
+    with pytest.raises(AssertionError, match="the table was read"):
+        make_ordering("exhaustive", f, dist)
 
 
 def test_exhaustive_threads_agree():
@@ -391,6 +416,21 @@ def test_ordering_refuses_entries_outside_the_permutation_range(perm):
     # Entries beyond int64 are refused too, not wrapped or raised as OverflowError.
     with pytest.raises(ArgumentError, match="not a permutation"):
         Ordering(perm)
+
+
+@pytest.mark.parametrize(
+    "perm, why",
+    [
+        ((10**5000,), "length 1 .* entry 0 is outside 0..0"),
+        ((5, 0, 10**5000), "length 3 .* entry 0 = 5 is outside 0..2"),
+        ((*range(1, 20000), 0, 3), "length 20001 .* entry 20000 = 3 repeats"),
+    ],
+)
+def test_ordering_refusal_names_the_length_and_the_first_bad_entry(perm, why):
+    # Neither the ordering nor an entry too long to print is formatted.
+    with pytest.raises(ArgumentError, match=why) as refusal:
+        Ordering(perm)
+    assert len(str(refusal.value)) < 200
 
 
 @pytest.mark.parametrize(

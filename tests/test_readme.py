@@ -2,9 +2,11 @@
 
 Every ```python block runs, in order, in one namespace, and every
 ``icbounds ...`` line of the "Command line" block runs through ``cli.main``
-in a folder holding the files it names, and exits 0.
+in a folder holding the files it names, and exits 0.  The "Flags:" paragraph
+names exactly the options of ``bound``.
 """
 
+import argparse
 import contextlib
 import io
 import re
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from icbounds import Disjointness, build_family, save_truth_table
-from icbounds.cli import main
+from icbounds.cli import build_parser, main
 
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -51,3 +53,11 @@ def test_command_line_examples_exit_0(command, tmp_path, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(shlex.split(command)[1:])
     assert code == 0, err.getvalue()
+
+
+def test_flags_paragraph_names_the_options_of_bound():
+    paragraph = re.search(r"^Flags: (.*?)\n\n", README, flags=re.MULTILINE | re.DOTALL).group(1)
+    named = set(re.findall(r"--[a-z0-9][a-z0-9-]*", paragraph))
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [a for a in subcommands.choices["bound"]._actions if a.option_strings and a.dest != "help"]
+    assert named == {option for action in actions for option in action.option_strings}
