@@ -37,12 +37,22 @@ Distribution:  JSON array of x_size non-negative weights; the loader
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import ArgumentError, FamilyParameterError, TableSizeRefusal, TruthTableFormatError
+from .errors import (
+    _INTP_MAX,
+    ArgumentError,
+    FamilyParameterError,
+    TableSizeRefusal,
+    TruthTableFormatError,
+    _integer,
+    _integer_entries,
+    _real_entries,
+    _shown,
+)
 
 #: Documented bit convention: x0 is the most significant bit of the index.
 BIT_ORDER = "x0-msb"
@@ -62,50 +72,38 @@ _BIT_MASKS = np.array([0x80 >> i for i in range(8)], dtype=np.uint8)
 #: ``build_family`` computes about this many table entries per chunk.
 _BUILD_CHUNK_BITS = 1 << 20
 
+#: ``index_to_bits`` refuses a longer bit string: it shifts the index once
+#: per bit, and 2**16 bits take about 0.1 s.
+INDEX_BITS_MAX_N = 1 << 16
+
 
 def bits_to_index(bits) -> int:
     """Index of a bit string under the x0-MSB convention ('10' -> 2)."""
     value = 0
     for b in bits:
-        b = int(b)
-        if b not in (0, 1):
-            raise ArgumentError(f"bit values must be 0 or 1, got {b!r}")
-        value = (value << 1) | b
+        if b not in (0, 1, "0", "1"):
+            _integer(b, "bit value", 0, 1)
+        value = (value << 1) | int(b)
     return value
 
 
 def index_to_bits(index: int, n: int) -> tuple:
-    """Length-n bit tuple of an index under the x0-MSB convention."""
-    if not 0 <= index < (1 << n):
-        raise ArgumentError(f"index {index} does not fit in {n} bits")
+    """Length-n bit tuple of an index under the x0-MSB convention, n <= ``INDEX_BITS_MAX_N``."""
+    n = _integer(n, "n", 0, INDEX_BITS_MAX_N)
+    index = _integer(index, "index", 0, (1 << n) - 1)
     return tuple((index >> (n - 1 - i)) & 1 for i in range(n))
 
 
-def _is_integer(value) -> bool:
-    """True for Python and numpy integers: not for a float such as 1.9, to
-    be refused rather than truncated, nor for a bool, although bools are ints."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
-
-
-def _integer_entries(values, name: str, kind: str, error=ArgumentError) -> tuple:
-    """The entries of ``values`` as Python ints; any other entry raises ``error``.
-
-    One pass in C over the entry types decides; only a refusal looks at the
-    entries one by one, to name the first that is not an integer."""
-    values = tuple(values)
-    types = set(map(type, values))
-    if not all(issubclass(t, (int, np.integer)) and not issubclass(t, (bool, np.bool_)) for t in types):
-        i, v = next((i, v) for i, v in enumerate(values) if not _is_integer(v))
-        raise error(f"{name} entry {i} is {v!r}, not an integer {kind}")
-    return tuple(map(int, values))
-
-
 def _indices(values, size: int, name: str) -> np.ndarray:
-    """``values`` as an intp array, refused unless every entry lies in [0, size)."""
-    values = np.asarray(values, dtype=np.intp)
-    if values.size and not 0 <= values.min() <= values.max() < size:
-        raise ArgumentError(f"{name} indices must lie in [0, {size}), got {values.min()}..{values.max()}")
-    return values
+    """``values`` as an intp array, refused unless every entry is an integer
+    in [0, size): a float is not truncated and a bool is no index.  An array
+    is checked by its dtype and extremes, any other sequence entry by entry."""
+    if not isinstance(values, np.ndarray):
+        values = _integer_entries(values, name, 0, size - 1)
+    array = np.asarray(values)
+    if array.size and (array.dtype.kind not in "iu" or not 0 <= array.min() <= array.max() < size):
+        _integer_entries(array.ravel().tolist(), name, 0, size - 1)
+    return array.astype(np.intp, copy=False)
 
 
 class BooleanFunction:
@@ -114,12 +112,8 @@ class BooleanFunction:
     __slots__ = ("x_size", "y_size", "_packed")
 
     def __init__(self, x_size: int, y_size: int, table):
-        for name, size in (("x_size", x_size), ("y_size", y_size)):
-            if not _is_integer(size):
-                raise ArgumentError(f"{name} must be an integer, got {size!r}")
-        x_size, y_size = int(x_size), int(y_size)
-        if x_size < 1 or y_size < 1:
-            raise ArgumentError(f"sizes must be >= 1, got x_size={x_size}, y_size={y_size}")
+        x_size = _integer(x_size, "x_size", 1, _INTP_MAX)
+        y_size = _integer(y_size, "y_size", 1, _INTP_MAX)
         nbits = x_size * y_size
         if isinstance(table, str):
             arr = np.frombuffer(table.encode("ascii", errors="replace"), dtype=np.uint8)
@@ -156,26 +150,22 @@ class BooleanFunction:
 
     def bit(self, x: int, y: int) -> int:
         """f(x, y) as a Python int."""
-        if not 0 <= x < self.x_size or not 0 <= y < self.y_size:
-            raise ArgumentError(f"({x}, {y}) outside {self.x_size} x {self.y_size}")
+        x, y = _integer(x, "x", 0, self.x_size - 1), _integer(y, "y", 0, self.y_size - 1)
         return int(self._packed.item(x, y >> 3) >> (7 - (y & 7))) & 1
 
     def column(self, y: int) -> np.ndarray:
         """The vector f(., y) over all of X (dtype uint8)."""
-        if not 0 <= y < self.y_size:
-            raise ArgumentError(f"y = {y} outside range [0, {self.y_size})")
+        y = _integer(y, "y", 0, self.y_size - 1)
         return (self._packed[:, y >> 3] >> (7 - (y & 7))) & 1
 
     def bits_at(self, xs: np.ndarray, y: int) -> np.ndarray:
         """f(x, y) for an array of x indices (dtype uint8)."""
-        if not 0 <= y < self.y_size:
-            raise ArgumentError(f"y = {y} outside range [0, {self.y_size})")
+        y = _integer(y, "y", 0, self.y_size - 1)
         return (self._packed[xs, y >> 3] >> (7 - (y & 7))) & 1
 
     def row(self, x: int) -> np.ndarray:
         """The vector f(x, .) over all of Y (dtype uint8)."""
-        if not 0 <= x < self.x_size:
-            raise ArgumentError(f"x = {x} outside range [0, {self.x_size})")
+        x = _integer(x, "x", 0, self.x_size - 1)
         return np.unpackbits(self._packed[x], count=self.y_size)
 
     def bits(self) -> str:
@@ -199,7 +189,8 @@ class BooleanFunction:
         ``cols`` None, a fresh copy of the stored rows ``xs``.  Otherwise the
         rows are read a block at a time (``_BLOCK_BYTES``): the block's whole
         stored rows, then the byte of each column, masked and packed.  An
-        entry of ``xs`` or ``cols`` outside the table is refused.
+        entry of ``xs`` or ``cols`` that is not an integer inside the table
+        is refused.
         """
         if xs is not None:
             xs = _indices(xs, self.x_size, "x")
@@ -254,17 +245,7 @@ class _Family:
     ordering: ClassVar[str]
 
     def __post_init__(self):
-        params = fields(self)
-        for field in params:
-            value = getattr(self, field.name)
-            if not _is_integer(value):
-                raise FamilyParameterError(
-                    f"{self.name} requires an integer {field.name}, got {value!r}"
-                )
-            object.__setattr__(self, field.name, int(value))
-        if self.n < 1:
-            got = self.n if len(params) == 1 else f"n={self.n}"
-            raise FamilyParameterError(f"{self.name} requires n >= 1, got {got}")
+        object.__setattr__(self, "n", _integer(self.n, "n", 1, None, FamilyParameterError))
 
     @property
     def x_size(self) -> int:
@@ -350,10 +331,7 @@ class KIntersect(_Family):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 1 <= self.k <= self.n // 2:
-            raise FamilyParameterError(
-                f"kint requires 1 <= k <= floor(n/2) = {self.n // 2}, got k={self.k}"
-            )
+        object.__setattr__(self, "k", _integer(self.k, "k", 1, self.n // 2, FamilyParameterError))
 
     def _rows(self, xs: np.ndarray) -> np.ndarray:
         return np.packbits(np.bitwise_count(_meets(xs, self.y_size)) >= self.k, axis=1)
@@ -384,7 +362,7 @@ def build_family(family: FunctionFamily) -> BooleanFunction:
     """
     if family.n > 64:
         raise TableSizeRefusal(
-            f"{family.name} table for n = {family.n} has 2**n rows, beyond the limit of "
+            f"{family.name} table for n = {_shown(family.n)} has 2**n rows, beyond the limit of "
             f"{MAX_TABLE_BITS} bits (2**28)"
         )
     x_size, y_size = family.x_size, family.y_size
@@ -429,8 +407,8 @@ def load_truth_table(text: str) -> BooleanFunction:
     # JSON true and false load as bool, a subclass of int.
     if any(not isinstance(v, int) or isinstance(v, bool) for v in (x_size, y_size)):
         raise TruthTableFormatError("x_size and y_size must be integers")
-    if x_size < 1 or y_size < 1:
-        raise TruthTableFormatError(f"sizes must be >= 1, got {x_size} x {y_size}")
+    x_size = _integer(x_size, "x_size", 1, _INTP_MAX, TruthTableFormatError)
+    y_size = _integer(y_size, "y_size", 1, _INTP_MAX, TruthTableFormatError)
     if not isinstance(bits, str):
         raise TruthTableFormatError("bits must be a string of '0'/'1'")
     expected = x_size * y_size
@@ -455,13 +433,10 @@ def apply_x_substitution(f: BooleanFunction, sigma) -> BooleanFunction:
 
     ``sigma`` is a sequence of length x_size; it need not be invertible.
     """
-    try:
-        sig = np.asarray(_integer_entries(sigma, "sigma", "x index"), dtype=np.int64)
-    except OverflowError:  # an entry beyond the int64 range
-        raise ArgumentError("sigma image out of range") from None
-    if sig.shape != (f.x_size,):
-        raise ArgumentError(f"sigma must have length {f.x_size}, got {sig.size}")
-    if sig.size and (sig.min() < 0 or sig.max() >= f.x_size):
+    sig = _integer_entries(sigma, "sigma")
+    if len(sig) != f.x_size:
+        raise ArgumentError(f"sigma must have length {f.x_size}, got {len(sig)}")
+    if sig and not (0 <= min(sig) and max(sig) < f.x_size):
         raise ArgumentError("sigma image out of range")
     return BooleanFunction._from_rows(f.x_size, f.y_size, f.packed_rows(sig))
 
@@ -483,16 +458,7 @@ class InputDistribution:
     label: str = "custom"
 
     def __post_init__(self):
-        try:
-            w = np.array(self.weights, dtype=float).ravel()
-        except OverflowError as exc:  # an integer beyond the float range
-            raise ArgumentError(f"weights must be finite numbers: {exc}") from exc
-        if w.size == 0:
-            raise ArgumentError("distribution must have at least one weight")
-        if not np.all(np.isfinite(w)):
-            raise ArgumentError("weights must be finite numbers (no NaN or infinity)")
-        if np.any(w < 0.0):
-            raise ArgumentError("weights must be non-negative")
+        w = _real_entries(self.weights, "weights", 0)
         with np.errstate(over="ignore"):
             total = float(w.sum())
         if total <= 0.0:
@@ -505,11 +471,7 @@ class InputDistribution:
 
     @classmethod
     def uniform(cls, x_size: int) -> "InputDistribution":
-        if not _is_integer(x_size):
-            raise ArgumentError(f"x_size must be an integer, got {x_size!r}")
-        x_size = int(x_size)
-        if x_size < 1:
-            raise ArgumentError(f"x_size must be >= 1, got {x_size}")
+        x_size = _integer(x_size, "x_size", 1, _INTP_MAX)
         # The weights the constructor would make from np.full(x_size,
         # 1 / x_size), without its copy and its checks of user weights.
         w = np.full(x_size, 1.0 / x_size)

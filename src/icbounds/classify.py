@@ -39,8 +39,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .boolfn import BooleanFunction, _integer_entries, apply_x_substitution
-from .errors import CensusMismatchError, HierarchyViolationError, UnsupportedSizeError
+from .boolfn import BooleanFunction, apply_x_substitution
+from .errors import CensusMismatchError, HierarchyViolationError, UnsupportedSizeError, _integer_entries
 
 #: The classification is defined for X = Y = {0,1}^2 only.
 SUPPORTED_SIZE = 4
@@ -75,13 +75,9 @@ class HierarchyCheck:
 
 
 def _column_masks(f: BooleanFunction) -> tuple:
-    masks = []
-    for y in range(4):
-        m = 0
-        for x in range(4):
-            m |= f.bit(x, y) << x
-        masks.append(m)
-    return tuple(masks)
+    """Column y as a mask over x: bit x is f(x, y), read from the packed rows."""
+    rows = f.packed_rows()[:, 0].tolist()
+    return tuple(sum(((rows[x] >> (7 - y)) & 1) << x for x in range(4)) for y in range(4))
 
 
 def _step(cells, col) -> tuple:
@@ -130,9 +126,9 @@ def signature(f: BooleanFunction) -> ClassSignature:
 def per_ordering_signature(f: BooleanFunction, perm) -> tuple:
     """Step sequence for an explicit ordering of Y (inspection helper)."""
     _check_size(f)
-    perm = _integer_entries(perm, "ordering", "y index", UnsupportedSizeError)
+    perm = _integer_entries(perm, "ordering", error=UnsupportedSizeError)
     if sorted(perm) != list(range(4)):
-        raise UnsupportedSizeError(f"not a permutation of 0..3: {perm!r}")
+        raise UnsupportedSizeError(f"ordering of length {len(perm)} is not a permutation of 0..3")
     masks = _column_masks(f)
     return _steps_signature(tuple(masks[y] for y in perm))
 

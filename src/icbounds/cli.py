@@ -36,6 +36,8 @@ from .errors import (
     IcboundsError,
     TableSizeRefusal,
     TruthTableFormatError,
+    _integer,
+    _real,
 )
 from .icbound import (
     Asymmetric,
@@ -47,14 +49,7 @@ from .icbound import (
     oracle_check,
 )
 from .infocalc import TOLERANCE
-from .prbox import (
-    _check_bias,
-    _check_message_bits,
-    _violation_report,
-    decompose,
-    max_bias,
-    success_probability,
-)
+from .prbox import _violation_report, decompose, max_bias, success_probability
 
 _FAMILIES = {cls.name: cls for cls in FAMILIES}
 
@@ -181,7 +176,7 @@ def _parse_biases(spec: str, count: int) -> list:
     except ValueError as exc:
         raise ArgumentError(f"--bias expects comma-separated numbers, got {spec!r}") from exc
     if len(biases) == 1 and count != 1:
-        _check_bias(biases[0])
+        _real(biases[0], "bias", -1, 1)
         return biases * count
     return biases
 
@@ -322,7 +317,7 @@ def _handle_prbox_bias(args) -> int:
 def _handle_prbox_violation(args) -> int:
     family = _family_from_args(args)
     # Refuse a bad --m before building the table.
-    _check_message_bits(args.m)
+    _integer(args.m, "message_bits", 1)
     f = build_family(family)
     decomposition = decompose(f)
     biases = _parse_biases(args.bias, decomposition.box_count)
@@ -443,12 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="natural|unit-first|kint-proof|greedy|exhaustive|file:PATH",
     )
     p_bound.add_argument("--dist", default="uniform", help="uniform|file:PATH")
-    p_bound.add_argument("--threads", type=int, default=1)
+    p_bound.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     _add_common(p_bound)
     p_bound.set_defaults(handler=_handle_bound, needs_source=True)
 
     p_classify = sub.add_parser("classify", help="census of the equivalence classes")
-    p_classify.add_argument("--threads", type=int, default=1)
+    p_classify.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     _add_common(p_classify)
     p_classify.set_defaults(handler=_handle_classify)
 

@@ -75,20 +75,21 @@ machinery (no sort, common prefix, trie, ``_split`` or ``_price``).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .boolfn import (
-    BooleanFunction,
-    FunctionFamily,
-    InputDistribution,
+from .boolfn import BooleanFunction, FunctionFamily, InputDistribution
+from .errors import (
+    ArgumentError,
+    ExhaustiveSearchRefusal,
+    GreedySearchRefusal,
+    _integer,
     _integer_entries,
-    _is_integer,
+    _real,
+    _shown,
 )
-from .errors import ArgumentError, ExhaustiveSearchRefusal, GreedySearchRefusal
 from .infocalc import (
     TOLERANCE,
     JointTable,
@@ -131,17 +132,6 @@ _ENTRY_BYTES = 64
 # ---------------------------------------------------------------------------
 
 
-def _error_rate(kind: str, name: str, value) -> float:
-    """An error rate in [0, 0.5) as a Python float, with -0.0 read as 0.0; a
-    bool or a value that is not a real number is refused, not converted."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise ArgumentError(f"{kind} channel requires a real number {name}, got {value!r}")
-    value = float(value) + 0.0
-    if not 0.0 <= value < 0.5:
-        raise ArgumentError(f"{kind} channel requires {name} in [0, 0.5), got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class Deterministic:
     """Errorless guess: g always equals the function value."""
@@ -159,12 +149,12 @@ class Deterministic:
 
 @dataclass(frozen=True)
 class Symmetric:
-    """Guess errs with the same probability eps < 1/2 on both function values."""
+    """Guess errs with the same probability eps in [0, 1/2) on both function values."""
 
     eps: float
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", _error_rate("symmetric", "eps", self.eps))
+        object.__setattr__(self, "eps", _real(self.eps, "eps", 0, 0.5, "[)"))
 
     def phi(self, q: np.ndarray) -> np.ndarray:
         return binary_entropy_vec(self.eps + q * (1.0 - 2.0 * self.eps)) - binary_entropy(self.eps)
@@ -185,8 +175,8 @@ class Asymmetric:
     eps_ii: float
 
     def __post_init__(self):
-        for name in ("eps_i", "eps_ii"):
-            object.__setattr__(self, name, _error_rate("asymmetric", name, getattr(self, name)))
+        object.__setattr__(self, "eps_i", _real(self.eps_i, "eps_i", 0, 0.5, "[)"))
+        object.__setattr__(self, "eps_ii", _real(self.eps_ii, "eps_ii", 0, 0.5, "[)"))
 
     def phi(self, q: np.ndarray) -> np.ndarray:
         mix = q * (1.0 - self.eps_ii) + (1.0 - q) * self.eps_i
@@ -219,7 +209,7 @@ class Ordering:
     strategy: str = "custom"
 
     def __post_init__(self):
-        perm = _integer_entries(self.perm, "ordering", "y index")
+        perm = _integer_entries(self.perm, "ordering")
         if not _is_permutation(perm):
             raise ArgumentError(_not_a_permutation(perm))
         object.__setattr__(self, "perm", perm)
@@ -243,12 +233,13 @@ def _is_permutation(values: tuple) -> bool:
 
 def _not_a_permutation(values: tuple) -> str:
     """Why the Python ints ``values``, not a permutation, are not one: their
-    length and the first entry out of range or repeated, whose value is shown
-    only when it fits in 64 bits, so that the message stays short."""
+    length and the first entry out of range or repeated, named with its value
+    when ``_shown`` shows it as a number, so that the message stays short."""
     n, seen = len(values), set()
     for i, v in enumerate(values):
         if not 0 <= v < n or v in seen:
-            shown = f" = {v}" if v.bit_length() <= 64 else ""
+            shown = _shown(v)
+            shown = f" = {shown}" if shown.lstrip("-").isdigit() else ""
             why = "repeats" if v in seen else f"is outside 0..{n - 1}"
             return f"ordering of length {n} is not a permutation: entry {i}{shown} {why}"
         seen.add(v)
@@ -602,13 +593,10 @@ def _unit_first_perm(y_size: int) -> tuple:
 def _kint_proof_perm(y_size: int, k) -> tuple:
     if k is None:
         raise ArgumentError("kint-proof ordering requires k")
-    if not _is_integer(k):
-        raise ArgumentError(f"kint-proof ordering requires an integer k, got {k!r}")
     n = y_size.bit_length() - 1
     if (1 << n) != y_size:
         raise ArgumentError(f"kint-proof ordering requires |Y| a power of two, got {y_size}")
-    if not 1 <= k <= n:
-        raise ArgumentError(f"kint-proof ordering requires 1 <= k <= {n}, got k={k}")
+    k = _integer(k, "k", 1, n)
     weight_k = sorted((v for v in range(y_size) if v.bit_count() == k), reverse=True)
     rest = sorted((v for v in range(y_size) if v.bit_count() != k), reverse=True)
     return tuple(weight_k + rest)
@@ -827,16 +815,13 @@ def make_ordering(
 
     ``threads`` is accepted for compatibility and has no effect.
     """
-    name = strategy.replace("_", "-").lower()
-    if name == "unit-vectors-first":
-        name = "unit-first"
-    if name not in _STRATEGIES:
-        raise ArgumentError(f"unknown ordering strategy {strategy!r}; choose from {_STRATEGIES}")
-    if name not in ("greedy", "exhaustive"):
-        return _fixed_ordering(name, f.y_size, k)
+    if strategy not in _STRATEGIES:
+        raise ArgumentError(f"unknown ordering strategy {_shown(strategy)}; choose from {_STRATEGIES}")
+    if strategy not in ("greedy", "exhaustive"):
+        return _fixed_ordering(strategy, f.y_size, k)
     dist = dist if dist is not None else InputDistribution.uniform(f.x_size)
     channel = channel if channel is not None else Deterministic()
-    if name == "greedy":
+    if strategy == "greedy":
         return Ordering(_greedy_perm(f, dist, channel), "greedy")
     return Ordering(_exhaustive_perm(f, dist, channel), "exhaustive")
 
@@ -866,20 +851,6 @@ def standard_ordering(family: FunctionFamily) -> Ordering:
 EQ_CLOSED_FORM_MAX_N = 20
 
 
-def _equality_terms(n) -> int:
-    """2**n, the number of terms of the Equality sums, once n is known to be
-    an integer in [1, EQ_CLOSED_FORM_MAX_N]."""
-    if not _is_integer(n):
-        raise ArgumentError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ArgumentError(f"n must be >= 1, got {n}")
-    if n > EQ_CLOSED_FORM_MAX_N:
-        raise ArgumentError(
-            f"the equality sums have 2**n terms; n must be <= {EQ_CLOSED_FORM_MAX_N}, got {n}"
-        )
-    return 1 << int(n)
-
-
 def eq_closed_form_deterministic(n: int) -> float:
     """Errorless bound for equality on [2**n] under the natural ordering: exactly n.
 
@@ -887,7 +858,8 @@ def eq_closed_form_deterministic(n: int) -> float:
     as a numerical guard before returning the exact value.  Refuses n above
     ``EQ_CLOSED_FORM_MAX_N``, as do the other two Equality sums.
     """
-    size = _equality_terms(n)
+    n = _integer(n, "n", 1, EQ_CLOSED_FORM_MAX_N)
+    size = 1 << n
     total = math.fsum(
         (i * math.log2(i) - (i - 1) * math.log2(i - 1)) / size for i in range(2, size + 1)
     )
@@ -900,9 +872,8 @@ def eq_closed_form_symmetric(n: int, eps: float) -> float:
 
     (1/2^n) * sum_{i=2}^{2^n} i * (h(eps + (1-2 eps)/i) - h(eps)).
     """
-    size = _equality_terms(n)
-    if not 0.0 < eps < 0.5:
-        raise ArgumentError(f"eps must lie in (0, 0.5), got {eps!r}")
+    size = 1 << _integer(n, "n", 1, EQ_CLOSED_FORM_MAX_N)
+    eps = _real(eps, "eps", 0, 0.5, "()")
     h_eps = binary_entropy(eps)
     return math.fsum(
         i * (binary_entropy(eps + (1.0 - 2.0 * eps) / i) - h_eps) for i in range(2, size + 1)
@@ -915,14 +886,18 @@ def eq_closed_form_one_sided(n: int, eps_ii: float) -> float:
     sum_{i=0}^{2^n-2} ((2^n - i)/2^n) h((1 - eps_ii)/(2^n - i))
       - ((2^n - 1)/2^n) h(eps_ii).
     """
-    size = _equality_terms(n)
-    if not 0.0 <= eps_ii < 0.5:
-        raise ArgumentError(f"eps_ii must lie in [0, 0.5), got {eps_ii!r}")
+    size = 1 << _integer(n, "n", 1, EQ_CLOSED_FORM_MAX_N)
+    eps_ii = _real(eps_ii, "eps_ii", 0, 0.5, "[)")
     head = math.fsum(
         ((size - i) / size) * binary_entropy((1.0 - eps_ii) / (size - i))
         for i in range(0, size - 1)
     )
     return head - ((size - 1) / size) * binary_entropy(eps_ii)
+
+
+#: ``kint_analytic_bound`` adds up n - k binomial terms; it refuses a larger
+#: n, whose sum at k = n / 2 would take over a second (n = 4096: 0.5-0.7 s).
+KINT_ANALYTIC_MAX_N = 4096
 
 
 def kint_analytic_bound(n: int, k: int, eps: float) -> float:
@@ -931,14 +906,12 @@ def kint_analytic_bound(n: int, k: int, eps: float) -> float:
     (1 - h(eps)) * sum_{i=k}^{n-1} 2^{-i} C(i-1, k-1) (n - i),
 
     which collapses the k-fold nested sum arising from the proof ordering and
-    is itself at least (n - 2k)(1 - h(eps)).
+    is itself at least (n - 2k)(1 - h(eps)).  Refuses n above
+    ``KINT_ANALYTIC_MAX_N``.
     """
-    if not (_is_integer(n) and _is_integer(k)):
-        raise ArgumentError(f"requires integers n and k, got n={n!r}, k={k!r}")
-    if n < 1 or not 1 <= k <= n // 2:
-        raise ArgumentError(f"requires n >= 1 and 1 <= k <= floor(n/2), got n={n}, k={k}")
-    if not 0.0 <= eps < 0.5:
-        raise ArgumentError(f"eps must lie in [0, 0.5), got {eps!r}")
+    n = _integer(n, "n", 1, KINT_ANALYTIC_MAX_N)
+    k = _integer(k, "k", 1, n // 2)
+    eps = _real(eps, "eps", 0, 0.5, "[)")
     inner = math.fsum(
         math.comb(i - 1, k - 1) * (n - i) / (1 << i) for i in range(k, n)
     )
@@ -952,6 +925,9 @@ def kint_analytic_bound(n: int, k: int, eps: float) -> float:
 #: Largest ``oracle_check`` size: keeps |X| * |Y| within the 2**20 that
 #: ``direct_oracle`` is meant for.
 ORACLE_MAX_SIZE = 1024
+
+#: Most ``oracle_check`` cases: about 8 minutes at the default sizes (0.5 ms each).
+ORACLE_MAX_CASES = 10**6
 
 
 @dataclass(frozen=True)
@@ -970,20 +946,13 @@ def oracle_check(cases: int = 100, seed: int = 1783, max_size: int = 16) -> Orac
     """Compare ``compute_bound`` and ``direct_oracle`` on random cases.
 
     Random functions, distributions, orderings and channels (all three kinds)
-    with x_size, y_size up to ``max_size`` (at most ``ORACLE_MAX_SIZE``);
-    returns the largest per-term or total deviation observed.
+    with x_size, y_size up to ``max_size`` (at most ``ORACLE_MAX_SIZE``), for
+    at most ``ORACLE_MAX_CASES`` cases and any seed >= 0; returns the largest
+    per-term or total deviation observed.
     """
-    for label, value in (("cases", cases), ("seed", seed), ("max_size", max_size)):
-        if not _is_integer(value):
-            raise ArgumentError(f"{label} must be an integer, got {value!r}")
-    if cases < 1:
-        raise ArgumentError(f"cases must be >= 1, got {cases}")
-    if seed < 0:
-        raise ArgumentError(f"seed must be >= 0, got {seed}")
-    if not 1 <= max_size <= ORACLE_MAX_SIZE:
-        raise ArgumentError(
-            f"max_size must lie in [1, {ORACLE_MAX_SIZE}], got {max_size}"
-        )
+    cases = _integer(cases, "cases", 1, ORACLE_MAX_CASES)
+    seed = _integer(seed, "seed", 0)
+    max_size = _integer(max_size, "max_size", 1, ORACLE_MAX_SIZE)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for case in range(cases):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import _INTP_MAX, ArgumentError, _integer, _integer_entries, _real, _real_entries, _shown
 
 #: Shared absolute tolerance for floating-point equality checks.
 TOLERANCE = 1e-9
@@ -30,7 +30,7 @@ TOLERANCE = 1e-9
 def binary_entropy(p: float) -> float:
     """h(p) = -p*log2(p) - (1-p)*log2(1-p) for p in [0, 1]."""
     if not 0.0 <= p <= 1.0:
-        raise ArgumentError(f"binary_entropy expects p in [0, 1], got {p!r}")
+        p = _real(p, "p", 0, 1)
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
@@ -48,11 +48,7 @@ def binary_entropy_vec(p: np.ndarray) -> np.ndarray:
 
 def entropy(probs) -> float:
     """Shannon entropy of a finite distribution given as a probability vector."""
-    p = np.asarray(probs, dtype=float).ravel()
-    if p.size == 0:
-        raise ArgumentError("entropy of an empty distribution is undefined")
-    if np.any(p < 0.0):
-        raise ArgumentError("probabilities must be non-negative")
+    p = _real_entries(probs, "probs", 0)
     if abs(float(p.sum()) - 1.0) > TOLERANCE:
         raise ArgumentError(f"probabilities must sum to 1, got {float(p.sum())!r}")
     nz = p[p > 0.0]
@@ -71,16 +67,12 @@ class JointTable:
     probs: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ArgumentError(f"dims must be positive integers, got {dims!r}")
-        probs = np.array(self.probs, dtype=float).ravel()
+        dims = _integer_entries(self.dims, "dims", 1, _INTP_MAX)
+        if not dims:
+            raise ArgumentError("dims must name at least one variable")
+        probs = _real_entries(self.probs, "probs", 0)
         if probs.size != math.prod(dims):
-            raise ArgumentError(
-                f"probs length {probs.size} != product of dims {math.prod(dims)}"
-            )
-        if (probs < 0.0).any():
-            raise ArgumentError("joint probabilities must be non-negative")
+            raise ArgumentError(f"probs length {probs.size} != product of dims {_shown(math.prod(dims))}")
         total = float(probs.sum())
         if abs(total - 1.0) > TOLERANCE:
             raise ArgumentError(f"joint probabilities must sum to 1, got {total!r}")
@@ -99,14 +91,11 @@ def conditional_mutual_information(table: JointTable, a: int, b: int, c=()) -> f
     The indices must be disjoint.  Non-negativity holds up to rounding
     (values above roughly -1e-12 can occur on exactly independent inputs).
     """
-    cs = tuple(int(i) for i in c)
-    a, b = int(a), int(b)
     n = table.n_vars
-    for idx in (a, b, *cs):
-        if not 0 <= idx < n:
-            raise ArgumentError(f"variable index {idx} out of range for {n} variables")
+    a, b = _integer(a, "a", 0, n - 1), _integer(b, "b", 0, n - 1)
+    cs = _integer_entries(c, "c", 0, n - 1)
     if len({a, b, *cs}) != 2 + len(cs):
-        raise ArgumentError(f"variable indices must be disjoint, got a={a}, b={b}, c={cs}")
+        raise ArgumentError(f"variable indices must be disjoint, got a={a}, b={b}, c={_shown(cs)}")
 
     arr = table.probs.reshape(table.dims)
     keep = sorted({a, b, *cs})
@@ -136,12 +125,10 @@ def merge_variables(table: JointTable, i: int, j: int) -> JointTable:
     ``max(i, j)`` shift down by one.  Useful for computing quantities such
     as I(A;B,C) through the two-variable interface.
     """
+    n = table.n_vars
+    i, j = sorted((_integer(i, "i", 0, n - 1), _integer(j, "j", 0, n - 1)))
     if i == j:
         raise ArgumentError("cannot merge a variable with itself")
-    i, j = (i, j) if i < j else (j, i)
-    n = table.n_vars
-    if not 0 <= i < n or not 0 <= j < n:
-        raise ArgumentError(f"variable indices ({i}, {j}) out of range for {n} variables")
     arr = table.probs.reshape(table.dims)
     arr = np.moveaxis(arr, j, i + 1)
     dims = list(table.dims)

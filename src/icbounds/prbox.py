@@ -34,8 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .boolfn import BooleanFunction, FunctionFamily, InputDistribution, _is_integer, build_family
-from .errors import ArgumentError, UnsupportedSizeError
+from .boolfn import BooleanFunction, FunctionFamily, InputDistribution, build_family
+from .errors import ArgumentError, UnsupportedSizeError, _integer, _real, _real_entries
 from .icbound import (
     BoundReport,
     Symmetric,
@@ -77,6 +77,8 @@ class VanDamDecomposition:
 
     def subset(self, mask: int) -> tuple:
         """The positions whose bits are set in ``mask``, ascending."""
+        if type(mask) is not int or not 0 <= mask < 1 << self.y_bits:
+            mask = _integer(mask, "mask", 0, (1 << self.y_bits) - 1)
         return tuple(i for i in range(self.y_bits) if mask >> (self.y_bits - 1 - i) & 1)
 
     def subsets(self, selected=None) -> list:
@@ -151,8 +153,7 @@ class VanDamDecomposition:
     def value(self, x: int, y: int) -> int:
         """Reconstruct f(x, y): the XOR of column m at x over masks m with m & y == m."""
         y_size = 1 << self.y_bits
-        if not 0 <= x < self.x_size or not 0 <= y < y_size:
-            raise ArgumentError(f"({x}, {y}) outside {self.x_size} x {y_size}")
+        x, y = _integer(x, "x", 0, self.x_size - 1), _integer(y, "y", 0, y_size - 1)
         masks = np.arange(y_size)
         return int(self._unpacked(self.anf[x])[(masks & y) == masks].sum() & 1)
 
@@ -214,32 +215,19 @@ def box_count(f: BooleanFunction) -> int:
     return decompose(f).box_count
 
 
-def _check_bias(e: float) -> None:
-    # NaN fails the comparison too.
-    if not -1.0 <= e <= 1.0:
-        raise ArgumentError(f"bias must lie in [-1, 1], got {e!r}")
-
-
-def _validated_biases(decomposition: VanDamDecomposition, biases) -> list:
-    bs = [float(e) for e in biases]
-    if len(bs) != decomposition.box_count:
-        raise ArgumentError(
-            f"expected {decomposition.box_count} biases (one per box), got {len(bs)}"
-        )
-    for e in bs:
-        _check_bias(e)
-    return bs
-
-
 def success_probability(decomposition: VanDamDecomposition, biases) -> float:
     """Exact Pr[g = f(x, y)] of the protocol under per-box biases.
 
     Box i errs independently with probability (1 - e_i)/2, and the guess is
     correct exactly when an even number of boxes err.  Summed over the error
     patterns that is (1 + prod_i e_i)/2, independent of (x, y), which is what
-    is returned: the cost is linear in the number of boxes.
+    is returned: the cost is linear in the number of boxes.  Each bias must
+    lie in [-1, 1].
     """
-    return (1.0 + math.prod(_validated_biases(decomposition, biases))) / 2.0
+    bs = _real_entries(list(biases), "biases", -1, 1).tolist()
+    if len(bs) != decomposition.box_count:
+        raise ArgumentError(f"expected {decomposition.box_count} biases (one per box), got {len(bs)}")
+    return (1.0 + math.prod(bs)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -255,12 +243,6 @@ class ViolationReport:
     bound: Optional[BoundReport]
 
 
-def _check_message_bits(message_bits) -> None:
-    # bools are ints, and a float such as 1.5 or NaN is no number of bits.
-    if not _is_integer(message_bits) or message_bits < 1:
-        raise ArgumentError(f"message_bits must be an integer >= 1, got {message_bits!r}")
-
-
 def violation_check(family: FunctionFamily, biases, message_bits: int) -> ViolationReport:
     """Does the biased-box protocol for a family break the m-bit bound?
 
@@ -270,7 +252,7 @@ def violation_check(family: FunctionFamily, biases, message_bits: int) -> Violat
     (bound 0, not violated) rather than treated as an error.
     ``message_bits`` must be an integer >= 1, else ``ArgumentError``.
     """
-    _check_message_bits(message_bits)
+    message_bits = _integer(message_bits, "message_bits", 1)
     f = build_family(family)
     return _violation_report(family, f, decompose(f), biases, message_bits)
 
@@ -304,7 +286,8 @@ def _violation_report(
         epsilon=eps,
         message_bits=message_bits,
         bound_total=report.total,
-        violated=report.total > message_bits + TOLERANCE,
+        # Compared first as they are: message_bits may be beyond the float range.
+        violated=message_bits < report.total and report.total > message_bits + TOLERANCE,
         no_signal=False,
         bound=report,
     )
@@ -324,12 +307,12 @@ def max_bias(family: FunctionFamily, message_bits: int, precision: float = 1e-9)
     merged (``icbound._RefinementTrace``); each bisection probe then only
     evaluates the channel's phi once per merged entry and sums every step
     in one pass, giving the same terms ``compute_bound`` would.
-    ``message_bits`` must be an integer >= 1 and ``precision`` a number
-    >= 0; anything else raises ``ArgumentError``.
+    ``message_bits`` must be an integer >= 1 and ``precision`` a real number
+    >= 0 (an infinity, or an integer beyond the float range, stops the
+    bisection at once); anything else raises ``ArgumentError``.
     """
-    _check_message_bits(message_bits)
-    if not precision >= 0.0:
-        raise ArgumentError(f"precision must be a number >= 0, got {precision!r}")
+    message_bits = _integer(message_bits, "message_bits", 1)
+    precision = _real(precision, "precision", 0, math.inf)
     f = build_family(family)
     dist = InputDistribution.uniform(f.x_size)
     trace = _RefinementTrace(f, dist, standard_ordering(family).perm)

@@ -130,11 +130,11 @@ def test_family_parameter_errors():
     with pytest.raises(FamilyParameterError):
         KIntersect(4, 0)
     # Parameters are integers: a float is not truncated, a bool is no size.
-    with pytest.raises(FamilyParameterError, match="integer k"):
+    with pytest.raises(FamilyParameterError, match="k must be an integer"):
         KIntersect(6, 2.5)
-    with pytest.raises(FamilyParameterError, match="integer n"):
+    with pytest.raises(FamilyParameterError, match="n must be an integer"):
         Equality(3.0)
-    with pytest.raises(FamilyParameterError, match="integer n"):
+    with pytest.raises(FamilyParameterError, match="n must be an integer"):
         Index(True)
 
 
