@@ -471,7 +471,8 @@ class InputDistribution:
 
     @classmethod
     def uniform(cls, x_size: int) -> "InputDistribution":
-        x_size = _integer(x_size, "x_size", 1, _INTP_MAX)
+        # numpy addresses at most _INTP_MAX bytes, 8 per float64 weight.
+        x_size = _integer(x_size, "x_size", 1, _INTP_MAX // 8)
         # The weights the constructor would make from np.full(x_size,
         # 1 / x_size), without its copy and its checks of user weights.
         w = np.full(x_size, 1.0 / x_size)

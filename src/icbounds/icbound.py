@@ -36,7 +36,8 @@ to the sort.  Every other table takes one sort of the rows read in the
 ordering (module ``rowsort``: rows of at most 64 columns sorted as one
 integer key each, wider rows as byte strings under the identity ordering,
 and under any other ordering of more than 64 columns a radix refinement of
-the distinct rows that reads only the bits separating them).  Each adjacent
+the distinct rows, in rounds of 64, 128, 256, ... columns, that reads a row
+only until it is apart from all others).  Each adjacent
 pair of sorted rows that differ is one branching node, at the depth of
 their longest common prefix, and its cell reaches to the nearest pairs on
 either side with a shorter common prefix, found by pointer jumping
@@ -140,8 +141,8 @@ class Deterministic:
         return binary_entropy_vec(q)
 
     def guess_probabilities(self, value: int) -> tuple:
-        """(P(g=0), P(g=1)) conditioned on f = value."""
-        return (1.0, 0.0) if value == 0 else (0.0, 1.0)
+        """(P(g=0), P(g=1)) conditioned on f = value, 0 or 1."""
+        return (1.0, 0.0) if _integer(value, "value", 0, 1) == 0 else (0.0, 1.0)
 
     def describe(self) -> dict:
         return {"kind": "deterministic"}
@@ -161,7 +162,7 @@ class Symmetric:
 
     def guess_probabilities(self, value: int) -> tuple:
         e = self.eps
-        return (1.0 - e, e) if value == 0 else (e, 1.0 - e)
+        return (1.0 - e, e) if _integer(value, "value", 0, 1) == 0 else (e, 1.0 - e)
 
     def describe(self) -> dict:
         return {"kind": "symmetric", "eps": self.eps}
@@ -185,7 +186,7 @@ class Asymmetric:
         )
 
     def guess_probabilities(self, value: int) -> tuple:
-        if value == 0:
+        if _integer(value, "value", 0, 1) == 0:
             return (1.0 - self.eps_i, self.eps_i)
         return (self.eps_ii, 1.0 - self.eps_ii)
 
@@ -406,7 +407,7 @@ def _key_space_nodes(f: BooleanFunction, xs, perm: np.ndarray, wts: np.ndarray):
     taken[key] = True
     if np.count_nonzero(taken) < key.size:
         del taken
-        order, lcp = _sort_keys(key, y_size, y_size)
+        order, lcp = _sort_keys(key, y_size)
         del key
         return _sorted_nodes(order, lcp, wts, y_size)
     cum = np.zeros(taken.size + 1)

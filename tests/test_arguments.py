@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 import icbounds
 from icbounds import (
     CLASS_REPRESENTATIVES,
+    ArgumentError,
     Asymmetric,
     BooleanFunction,
     Deterministic,
@@ -226,3 +227,18 @@ def test_the_tables_name_every_numeric_parameter():
     assert _numeric_parameters() - named == set()
     # The walk finds the parameters it should.
     assert {"KIntersect.k", "Symmetric.eps", "max_bias.precision"} <= _numeric_parameters()
+
+
+@pytest.mark.parametrize("channel", [Deterministic(), Symmetric(0.1), Asymmetric(0.1, 0.2)])
+def test_guess_probabilities_takes_only_a_function_value(channel):
+    for value in (1.5, -1, math.nan, 2, True):
+        with pytest.raises(ArgumentError, match="value must"):
+            channel.guess_probabilities(value)
+    assert channel.guess_probabilities(np.int64(1)) == channel.guess_probabilities(1)
+    assert channel.guess_probabilities(0) != channel.guess_probabilities(1)
+
+
+def test_uniform_refuses_more_weights_than_numpy_can_address():
+    # 2**62 float64 weights take 2**65 bytes; the refusal allocates nothing.
+    with pytest.raises(ArgumentError, match="x_size must lie in"):
+        InputDistribution.uniform(2**62)

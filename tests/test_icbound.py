@@ -599,8 +599,9 @@ def _spy(monkeypatch, module, name, calls):
         # A shallow, wide trie, 2**d branching nodes at depth d, after the
         # radix reader has told the 2**11 rows apart in their first round.
         (InnerProduct(11), "unit-first", Symmetric(0.1), ["_refine_distinct"]),
-        # Permuted radix reader, its rows finished by one read of all the
-        # columns left (the only read of more than 64 columns).
+        # Permuted radix reader in rounds of 64, 128 and 64 columns: its
+        # one-hot rows stay grouped until their one column is read (the
+        # round of 128 is the only read of more than 64 columns).
         (Equality(8), "random", Asymmetric(0.05, 0.2), ["_refine_distinct", "tail read"]),
         (KIntersect(8, 3), "kint-proof", Symmetric(0.1), ["_refine_distinct"]),
     ],

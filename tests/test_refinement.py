@@ -401,13 +401,15 @@ def test_common_prefixes_on_word_boundaries(y_size):
 
 @st.composite
 def wide_tables(draw):
-    """A table of more than one 64-column chunk under a random ordering, and
-    a distribution that may give inputs zero weight.  The rows are random,
-    copies of a few random rows, or one-hot plus a random first column in
-    the ordering: such rows stay in two groups after the first chunk, so
-    the reader repacks the rest."""
+    """A table of more than one 64-column round under a random ordering,
+    and a distribution that may give inputs zero weight.  The rows are
+    random, copies of a few random rows, or one-hot plus a random first
+    column in the ordering: such rows stay grouped until their one column
+    is read, so the reader often takes three or more of its rounds of 64,
+    128, 256, ... columns when |Y| is 1000 or 2049, and sorts the rounds
+    wider than 64 columns as byte strings within their groups."""
     x_size = draw(st.integers(1, 40))
-    y_size = draw(st.sampled_from([65, 127, 128, 129, 200, 300]))
+    y_size = draw(st.sampled_from([65, 127, 128, 129, 200, 300, 1000, 2049]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     perm = rng.permutation(y_size)
     kind = draw(st.sampled_from(["random", "repeated", "one-hot"]))
@@ -449,11 +451,12 @@ def test_permuted_reader_is_a_stable_lexicographic_sort(case):
 
 
 @pytest.mark.parametrize("family, strategy", [
-    # Four rounds of 64 columns, with no repack.
+    # Rounds of 64, 128, 256, ... columns, until the rows are apart.
     (KIntersect(10, 4), "kint-proof"),
     (InnerProduct(10), "unit-first"),
     (Disjointness(9), "unit-first"),
-    # One round, then the remaining columns repacked.
+    # Rounds of 64, 128 and 256 columns, then the 64 left: one-hot rows stay
+    # grouped until their one column is read.
     (Equality(9), "random"),
 ])
 def test_permuted_reader_on_families(family, strategy):
@@ -551,8 +554,8 @@ def test_key_path_equals_the_byte_string_sort(case):
 def test_key_path_sorts_a_narrow_radix_tail(monkeypatch, y_size, zeros):
     # One-hot rows plus a random first column stay in two groups after the
     # first 64 columns, so the permuted reader sorts one 64-column round as
-    # integer keys, then repacks the at most 64 columns left and sorts them
-    # as integer keys within each group.
+    # integer keys, then reads the at most 64 columns left in its second
+    # round and sorts them as integer keys within each group.
     rng = np.random.default_rng(y_size)
     x_size = 400
     perm = rng.permutation(y_size)
@@ -566,13 +569,37 @@ def test_key_path_sorts_a_narrow_radix_tail(monkeypatch, y_size, zeros):
     xs, _ = _support(f, InputDistribution(weights))
     widths = []
     real = rowsort._row_keys
-    monkeypatch.setattr(rowsort, "_row_keys", lambda rows: widths.append(rows.shape[1]) or real(rows))
+    monkeypatch.setattr(rowsort, "_row_keys", lambda rows, y_size: widths.append(rows.shape[1]) or real(rows, y_size))
     order, lcp = _sorted_prefixes(f, xs, perm)
     assert widths == [8, -(-(y_size - 64) // 8)]
     read = table[:, perm] if xs is None else table[xs][:, perm]
     want_order, want_lcp = reference_sorted_prefixes(read)
     assert np.array_equal(order, want_order)
     assert np.array_equal(lcp, want_lcp)
+
+
+@pytest.mark.parametrize("family, strategy", [(KIntersect(12, 6), "kint-proof"), (Equality(10), "random")])
+def test_permuted_reader_doubles_its_rounds(monkeypatch, family, strategy):
+    # Round r reads 64 * 2**r columns, or all those left, so |Y| columns
+    # take at most ceil(log2(|Y| / 64 + 1)) rounds: 7 for KIntersect(12, 6)
+    # (|Y| = 4096) and 5 for Equality(10), whose one-hot rows need them all.
+    f = build_family(family)
+    if strategy == "random":
+        perm = np.random.default_rng(10).permutation(f.y_size)
+    else:
+        perm = np.array(make_ordering(strategy, f, k=family.k).perm)
+    widths = []
+    real_read = BooleanFunction.packed_rows
+
+    def read(self, xs=None, cols=None):
+        if cols is not None:
+            widths.append(len(cols))
+        return real_read(self, xs, cols)
+
+    monkeypatch.setattr(BooleanFunction, "packed_rows", read)
+    _sorted_prefixes(f, None, perm)
+    assert 1 <= len(widths) <= math.ceil(math.log2(f.y_size / 64 + 1))
+    assert widths == [min(64 << r, f.y_size - sum(widths[:r])) for r in range(len(widths))]
 
 
 def pointer_jumping_trace(f, dist, perm):
