@@ -37,6 +37,7 @@ from .errors import (
     TableSizeRefusal,
     TruthTableFormatError,
     _integer,
+    _integer_entries,
     _real,
 )
 from .icbound import (
@@ -44,6 +45,7 @@ from .icbound import (
     Deterministic,
     Ordering,
     Symmetric,
+    _check_search_cost,
     compute_bound,
     make_ordering,
     oracle_check,
@@ -123,12 +125,17 @@ def _read_text(path: str) -> str:
         raise TruthTableFormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _resolve_function(args):
-    """Returns (function, name, parameters) from --family/--table flags."""
+def _resolve_function(args, search: str = ""):
+    """Returns (function, name, parameters) from --family/--table flags.  A
+    family's table is built only once the ordering strategy ``search``, run
+    over all of X, passes its cost check on the family's sizes."""
     if getattr(args, "table", None):
         f = load_truth_table(_read_text(args.table))
         return f, f"table:{args.table}", {"x_size": f.x_size, "y_size": f.y_size}
     family = _family_from_args(args)
+    # Above n = 64 the sizes are not formed; build_family refuses from n.
+    if family.n <= 64:
+        _check_search_cost(search, family.x_size, family.y_size)
     return build_family(family), family.name, dataclasses.asdict(family)
 
 
@@ -159,11 +166,10 @@ def _resolve_ordering(args, f, dist, channel):
     if spec.startswith("file:"):
         path = spec[len("file:"):]
         data = _parse_json(_read_text(path), "ordering file")
-        # type() rather than isinstance(): bools are ints, and floats such
-        # as 1.9 must not be truncated into an index.
-        if not isinstance(data, list) or any(type(v) is not int for v in data):
+        if not isinstance(data, list):
             raise TruthTableFormatError("ordering file must be a JSON array of integer y indices")
-        return Ordering(tuple(data), strategy=f"file:{path}")
+        perm = _integer_entries(data, "ordering file", error=TruthTableFormatError)
+        return Ordering(perm, strategy=f"file:{path}")
     return make_ordering(spec, f, dist, channel, k=args.k, threads=args.threads)
 
 
@@ -187,7 +193,8 @@ def _parse_biases(spec: str, count: int) -> list:
 
 
 def _handle_bound(args) -> int:
-    f, name, params = _resolve_function(args)
+    # Under a uniform distribution every input is active.
+    f, name, params = _resolve_function(args, args.ordering if args.dist == "uniform" else "")
     channel = _resolve_channel(args)
     dist = _resolve_distribution(args, f.x_size)
     ordering = _resolve_ordering(args, f, dist, channel)

@@ -81,6 +81,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
 
 
+def _is_real(kind: type) -> bool:
+    """True for the types of real numbers but the bools."""
+    return issubclass(kind, numbers.Real) and not issubclass(kind, (bool, np.bool_))
+
+
 def _outside(name: str, shown: str, kind: str, low, high, ends: str, error):
     """The refusal of a value, shown as ``shown``, outside ``ends[0] low,
     high ends[1]``, or below ``low`` when ``high`` is None or infinite."""
@@ -107,7 +112,7 @@ def _real(value, name: str, low, high, ends: str = "[]", error=ArgumentError) ->
     or ')' leaves that end out, with -0.0 read as 0.0 and an integer beyond
     the float range as the infinity of its sign.  A bool, any value that is
     not a real number, NaN and a value out of range raise ``error``."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+    if not _is_real(type(value)):
         raise error(f"{name} must be a real number, got {_shown(value)}")
     try:
         number = float(value) + 0.0
@@ -138,7 +143,16 @@ def _integer_entries(values, name: str, low=None, high=None, error=ArgumentError
 
 def _real_entries(values, name: str, low, high=_FLOAT_MAX, error=ArgumentError) -> np.ndarray:
     """``values`` as a fresh flat float array whose entries are finite and in
-    [low, high]; else ``error`` names the first entry that is not."""
+    [low, high]; else ``error`` names the first entry that is not.  A bool
+    is not a real number, as in ``_real``: a list or a tuple takes one pass
+    in C over its entry types, and an array is decided by its dtype."""
+    if isinstance(values, (list, tuple)):
+        types = set(map(type, values))
+        if not types <= {float, int} and not all(map(_is_real, types)):
+            i, v = next((i, v) for i, v in enumerate(values) if not _is_real(type(v)))
+            raise error(f"{name} entry {i} must be a real number, got {_shown(v)}")
+    elif isinstance(values, np.ndarray) and values.dtype == np.bool_ and values.size:
+        raise error(f"{name} entry 0 must be a real number, got {_shown(values.flat[0])}")
     try:
         array = np.array(values, dtype=float).ravel()
     except (OverflowError, TypeError, ValueError) as exc:

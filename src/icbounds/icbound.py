@@ -51,8 +51,9 @@ prices one trace, and pricing one table under many channels -- the
 bisection over the error rate in ``prbox.max_bias`` -- evaluates phi again
 over the same merged entries and sums every step's term in one pass.
 Greedy search refines one column at a time with the cell-splitting step
-``_split`` and prices every candidate column of a partition at once
-(``_price``, in column slices under the byte budget ``_SEARCH_BYTES``).
+``_split`` and prices every candidate column of a partition at once with
+``_cell_phi``, the one pricing kernel of both searches (phi of every (cell,
+column) of a block of table bits, in column slices under ``_SEARCH_BYTES``).
 Exhaustive search is a dynamic program over the subsets of Y, since the
 partition after a prefix depends only on the set of columns used.  It
 prices all subsets of one size together, in chunks under the same budget:
@@ -69,7 +70,7 @@ independently for every input pair.  Every report records this convention.
 and exists to cross-check the evaluator: one explicit joint table over the
 history value vectors per step, with no pruning, fed to the generic
 conditional-mutual-information routine.  It uses none of the evaluator's
-machinery (no sort, common prefix, trie, ``_split`` or ``_price``).
+machinery (no sort, common prefix, trie, ``_split`` or ``_cell_phi``).
 ``oracle_check`` runs both on random tables, orderings and channels.
 """
 
@@ -117,13 +118,13 @@ EXHAUSTIVE_LIMIT = 1 << 30
 
 #: Greedy ordering search refuses when |X active| * |Y|**2, the (input,
 #: column) pairs it prices over all its steps, is above this: Equality(10)
-#: (2**30) takes about 17 s.
+#: (2**30) takes about 8 s (2-core x86_64, numpy 2.4).
 GREEDY_LIMIT = 1 << 30
 
 #: The ordering searches keep their temporaries near this many bytes:
-#: exhaustive search prices each level's subsets in chunks, and ``_price``
-#: its candidate columns in slices, counting ``_ENTRY_BYTES`` for every
-#: (subset, input, column) it prices at once.
+#: exhaustive search prices each level's subsets in chunks, and greedy search
+#: its candidate columns in slices, both through ``_cell_phi``, counting
+#: ``_ENTRY_BYTES`` for every (subset, input, column) priced at once.
 _SEARCH_BYTES = 1 << 26
 _ENTRY_BYTES = 64
 
@@ -540,7 +541,7 @@ def direct_oracle(
     appearance in x, and handed to the generic conditional-mutual-information
     routine (``infocalc.conditional_mutual_information``).  Independent
     means that it shares nothing with the evaluator: no row sort, common
-    prefix or trie, no ``_split`` or ``_price``, no phi, and no pruning of
+    prefix or trie, no ``_split`` or ``_cell_phi``, no phi, and no pruning of
     cells that no longer split.  It reads the table once; each step is a few
     numpy passes over the active inputs plus the generic routine on a table
     of at most |X| cells, so the cost is O(|X| |Y|) with a fixed cost per
@@ -603,66 +604,74 @@ def _kint_proof_perm(y_size: int, k) -> tuple:
     return tuple(weight_k + rest)
 
 
-def _columns(f: BooleanFunction, xs) -> np.ndarray:
-    """The table restricted to the active inputs, one column per Bob input:
-    their packed rows (``BooleanFunction.packed_rows``), unpacked."""
-    return np.unpackbits(f.packed_rows(xs), axis=1, count=f.y_size)
+def _check_search_cost(strategy: str, active: int, y_size: int) -> None:
+    """Refuse the greedy or exhaustive search over ``active`` inputs and |Y|
+    = ``y_size`` when it costs more than its limit; any other strategy
+    passes.  Sizes alone decide, so a caller that knows them can refuse
+    before the table is built or read."""
+    if strategy == "greedy" and active * y_size**2 > GREEDY_LIMIT:
+        raise GreedySearchRefusal(
+            f"greedy ordering over {active} active inputs and |Y| = {y_size} means "
+            f"pricing |X| * |Y|**2 = {active * y_size**2} (input, column) pairs; "
+            f"at most {GREEDY_LIMIT} is supported"
+        )
+    if strategy != "exhaustive":
+        return
+    if y_size > EXHAUSTIVE_HARD_LIMIT:
+        raise ExhaustiveSearchRefusal(
+            f"exhaustive ordering over |Y| = {y_size} needs a value for each of "
+            f"2**{y_size} subsets of Y; at most |Y| = {EXHAUSTIVE_HARD_LIMIT} is supported"
+        )
+    work = active * y_size << (y_size - 1)
+    if work > EXHAUSTIVE_LIMIT:
+        raise ExhaustiveSearchRefusal(
+            f"exhaustive ordering over {active} active inputs and |Y| = {y_size} means "
+            f"pricing 2**{y_size} = {1 << y_size} subsets of Y, |X| * |Y| * 2**(|Y| - 1) = "
+            f"{work} (subset, input, free column) triples; at most {EXHAUSTIVE_LIMIT} is supported"
+        )
 
 
-def _price(
-    labels: np.ndarray,
-    ncells: int,
-    wts: np.ndarray,
-    cols: np.ndarray,
-    ys: list,
-    channel: ChannelModel,
+def _cell_phi(
+    bits: np.ndarray, wts: np.ndarray, cells: np.ndarray, mass: np.ndarray, channel: ChannelModel
 ) -> np.ndarray:
-    """The next step's term for every candidate column ``cols[:, y]``, y in ``ys``.
+    """phi(q) of every (cell, column) of a block of table ``bits``, one row
+    per entry and one column per candidate, where ``wts`` and ``cells`` hold
+    every entry's weight and cell and ``mass`` every cell's mass.
 
-    One bincount over (cell, candidate) pairs gives every cell's ones mass for
-    every candidate, and one phi call prices them all.  Each term is the dot
-    product of the cell masses with a contiguous row of the transposed phi
-    matrix, so it equals, bit for bit, pricing that column on its own (a
-    strided column would be summed in another order).  The candidates are
-    priced in slices of at most ``_SEARCH_BYTES / _ENTRY_BYTES`` (input,
-    candidate) pairs; every bin still adds its weights in x order, so the
-    slicing changes no bit of any term.
+    The one pricing step of both ordering searches: one bincount gives the
+    ones mass of every (cell, column), adding each bin's weights in entry
+    order, then one division by the cell mass, a clip of the rounding noise
+    and one phi call.  Pricing a slice of the columns gives the same bits in
+    those columns as pricing them all.
     """
-    mass = np.bincount(labels, weights=wts, minlength=ncells)
-    width = max(1, _SEARCH_BYTES // (_ENTRY_BYTES * labels.size))
-    terms = []
-    for a in range(0, len(ys), width):
-        part = cols[:, ys[a : a + width]]
-        m = part.shape[1]
-        key = (labels[:, None] * m + np.arange(m)).ravel()
-        ones = np.bincount(key, weights=(wts[:, None] * part).ravel(), minlength=ncells * m)
-        q = np.clip(ones.reshape(ncells, m) / mass[:, None], 0.0, 1.0)
-        phi = np.ascontiguousarray(channel.phi(q).T)
-        terms += [mass @ row for row in phi]
-    return np.array(terms)
+    m = bits.shape[1]
+    key = (cells[:, None] * m + np.arange(m)).ravel()
+    ones = np.bincount(key, weights=(wts[:, None] * bits).ravel(), minlength=mass.size * m)
+    return channel.phi(np.clip(ones.reshape(mass.size, m) / mass[:, None], 0.0, 1.0))
 
 
 def _greedy_perm(f: BooleanFunction, dist: InputDistribution, channel: ChannelModel) -> tuple:
     xs, wts = _support(f, dist)
-    work = wts.size * f.y_size**2
-    if work > GREEDY_LIMIT:
-        raise GreedySearchRefusal(
-            f"greedy ordering over {wts.size} active inputs and |Y| = {f.y_size} means "
-            f"pricing |X| * |Y|**2 = {work} (input, column) pairs; "
-            f"at most {GREEDY_LIMIT} is supported"
-        )
-    cols = _columns(f, xs)
+    _check_search_cost("greedy", wts.size, f.y_size)
+    cols = np.unpackbits(f.packed_rows(xs), axis=1, count=f.y_size)
+    width = max(1, _SEARCH_BYTES // (_ENTRY_BYTES * wts.size))
     labels = np.zeros(wts.size, dtype=np.int64)
-    ncells = 1
     unused = list(range(f.y_size))
     perm = []
     while unused:
+        # Labels are compact, so every cell has a bin.
+        mass = np.bincount(labels, weights=wts)
+        terms = np.empty(len(unused))
+        for a in range(0, len(unused), width):
+            phi = _cell_phi(cols[:, unused[a : a + width]], wts, labels, mass, channel)
+            # Cell masses times a contiguous row of the transposed phi: bit for
+            # bit the column priced on its own, which a strided row is not.
+            terms[a : a + width] = np.vecdot(np.ascontiguousarray(phi.T), mass)
         # argmax keeps the first of equal terms: ties go to the smallest index.
-        best = unused[int(np.argmax(_price(labels, ncells, wts, cols, unused, channel)))]
+        best = unused[int(np.argmax(terms))]
         perm.append(best)
         unused.remove(best)
-        labels, sizes = _split(labels, cols[:, best], ncells)
-        ncells = sizes.size
+        labels = _split(labels, cols[:, best], mass.size)[0]
     return tuple(perm)
 
 
@@ -679,33 +688,19 @@ def _exhaustive_perm(f: BooleanFunction, dist: InputDistribution, channel: Chann
     ``_SEARCH_BYTES / _ENTRY_BYTES`` (subset, input, free column) triples.
     Each active row is read once as an integer key, so the partition of S is
     the classes of ``key & S``: one sort numbers the (subset, cell) pairs of
-    a chunk, one bincount in x order gives every pair's ones mass for every
-    free column, one phi call prices them all and one bincount sums each
-    T(S, y).  Cells of one input are pure under every column and are left
-    out, so V can differ from pricing every cell by rounding alone, far
-    below the tie tolerance.  Every subset also keeps its pick, the smallest
-    y whose T(S, y) + V[S + {y}] comes within 1e-12 * max(1, |V[S]|) of
-    V[S] (one byte, as |Y| <= 24), and the permutation follows the picks
-    from S = {}.
+    a chunk, ``_cell_phi`` prices every pair under every free column, its
+    bits shifted out of the keys, and one bincount sums each T(S, y).  Cells
+    of one input are pure under every column and are left out, so V can
+    differ from pricing every cell by rounding alone, far below the tie
+    tolerance.  Every subset also keeps its pick, the smallest y whose T(S,
+    y) + V[S + {y}] comes within 1e-12 * max(1, |V[S]|) of V[S] (one byte,
+    as |Y| <= 24), and the permutation follows the picks from S = {}.
     """
     y_size = f.y_size
-    if y_size > EXHAUSTIVE_HARD_LIMIT:
-        raise ExhaustiveSearchRefusal(
-            f"exhaustive ordering over |Y| = {y_size} needs a value for each of "
-            f"2**{y_size} subsets of Y; at most |Y| = {EXHAUSTIVE_HARD_LIMIT} is supported"
-        )
     xs, wts = _support(f, dist)
-    work = wts.size * y_size << (y_size - 1)
-    if work > EXHAUSTIVE_LIMIT:
-        raise ExhaustiveSearchRefusal(
-            f"exhaustive ordering over {wts.size} active inputs and |Y| = {y_size} means "
-            f"pricing 2**{y_size} = {1 << y_size} subsets of Y, |X| * |Y| * 2**(|Y| - 1) = "
-            f"{work} (subset, input, free column) triples; at most {EXHAUSTIVE_LIMIT} is supported"
-        )
+    _check_search_cost("exhaustive", wts.size, y_size)
     # Bit y_size - 1 - y of a key, and of a subset, stands for column y.
     keys = _read_keys(f, xs, np.arange(y_size))
-    # ones[b]: every input's weight where its column y_size - 1 - b is 1.
-    ones = ((keys >> np.arange(y_size, dtype=np.uint32)[:, None]) & 1) * wts
     value = np.zeros(1 << y_size)
     # pick[S]: the column the tie rule takes after the subset S.
     pick = np.zeros(1 << y_size, dtype=np.uint8)
@@ -720,7 +715,7 @@ def _exhaustive_perm(f: BooleanFunction, dist: InputDistribution, channel: Chann
         batch = subsets[level == size]
         for a in range(0, batch.size, chunk):
             s = batch[a : a + chunk]
-            value[s], pick[s] = _level_values(s, keys, wts, ones, value, free, width, channel)
+            value[s], pick[s] = _level_values(s, keys, wts, y_size, value, free, width, channel)
     s, perm = 0, []
     for _ in range(y_size):
         perm.append(int(pick[s]))
@@ -732,18 +727,18 @@ def _level_values(
     s: np.ndarray,
     keys: np.ndarray,
     wts: np.ndarray,
-    ones: np.ndarray,
+    shift: int,
     value: np.ndarray,
     free: int,
     width: int,
     channel: ChannelModel,
 ) -> tuple:
-    """V of every subset in ``s``, all of one level with ``free`` columns
-    left, from the V of the level above, and the column each subset's tie
-    rule picks: the smallest y whose T(S, y) + V[S + {y}] comes within
-    1e-12 * max(1, |V[S]|) of V[S].  The subsets' free columns are priced
-    ``width`` at a time."""
-    count, shift = wts.size, len(ones)
+    """V of every subset in ``s``, all of one level with ``free`` of its
+    ``shift`` columns left, from the V of the level above, and the column
+    each subset's tie rule picks: the smallest y whose T(S, y) + V[S + {y}]
+    comes within 1e-12 * max(1, |V[S]|) of V[S].  The subsets' free columns
+    are priced ``width`` at a time."""
+    count = wts.size
     # The cell of every (subset, input) pair is its key masked to the
     # subset; one sort numbers the cells (subset major).
     cell = (keys & s[:, None]).astype(np.int64)
@@ -757,7 +752,8 @@ def _level_values(
     owner = pairs[larger] >> shift
     cell = (np.cumsum(larger) - 1)[cell[entry]]
     sub, x = np.divmod(entry, count)
-    mass = np.bincount(cell, weights=wts[x], minlength=owner.size)
+    key, w = keys[x, None], wts[x]
+    mass = np.bincount(cell, weights=w, minlength=owner.size)
     # The free bits of every subset, in decreasing order: increasing y.
     free_bits = np.nonzero(((s[:, None] >> np.arange(shift, dtype=np.uint32)) & 1) == 0)[1]
     free_bits = free_bits.reshape(s.size, free)[:, ::-1]
@@ -765,12 +761,7 @@ def _level_values(
     for a in range(0, free, width):
         part = free_bits[:, a : a + width]
         m = part.shape[1]
-        # Ones mass of every (cell, free column), its inputs in x order.
-        key = (cell[:, None] * m + np.arange(m)).ravel()
-        weights = ones[part[sub], x[:, None]].ravel()
-        q = np.bincount(key, weights=weights, minlength=owner.size * m).reshape(owner.size, m)
-        q = np.clip(q / mass[:, None], 0.0, 1.0)
-        term = channel.phi(q)
+        term = _cell_phi((key >> part[sub]) & 1, w, cell, mass, channel)
         term *= mass[:, None]
         slot = (owner[:, None] * m + np.arange(m)).ravel()
         # With no cell of two inputs, bincount returns integer zeros.

@@ -52,7 +52,8 @@ def entropy(probs) -> float:
     if abs(float(p.sum()) - 1.0) > TOLERANCE:
         raise ArgumentError(f"probabilities must sum to 1, got {float(p.sum())!r}")
     nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    # + 0.0 turns the -0.0 of a point mass into 0.0 and changes no other value.
+    return float(-(nz * np.log2(nz)).sum()) + 0.0
 
 
 @dataclass(frozen=True)

@@ -242,3 +242,20 @@ def test_uniform_refuses_more_weights_than_numpy_can_address():
     # 2**62 float64 weights take 2**65 bytes; the refusal allocates nothing.
     with pytest.raises(ArgumentError, match="x_size must lie in"):
         InputDistribution.uniform(2**62)
+
+
+@pytest.mark.parametrize(
+    "call, entry",
+    [
+        (lambda: InputDistribution([1.0, True]), "weights entry 1"),
+        (lambda: JointTable((2,), [True, False]), "probs entry 0"),
+        (lambda: entropy([True, False]), "probs entry 0"),
+        (lambda: success_probability(IP2, [0.9, True]), "biases entry 1"),
+        (lambda: InputDistribution(np.array([1.0, 0.0]) > 0.5), "weights entry 0"),
+        (lambda: entropy([0.5, np.bool_(True)]), "probs entry 1"),
+    ],
+)
+def test_a_bool_entry_of_a_real_sequence_is_refused(call, entry):
+    # As for a single real parameter: any real number but a bool.
+    with pytest.raises(ArgumentError, match=f"^{entry} must be a real number, got "):
+        call()

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from icbounds import (
     save_truth_table,
     violation_check,
 )
-from icbounds import cli, prbox
+from icbounds import cli, icbound, prbox
 from icbounds.boolfn import MAX_TABLE_BITS
 from icbounds.cli import main
 
@@ -131,6 +132,41 @@ def test_bound_exhaustive_refusal_of_a_wide_family_is_one_short_line(capsys, fam
     assert out == ""
     assert "Traceback" not in err
     assert err.count("\n") == 1 and len(err) < 300
+
+
+class Built(Exception):
+    """Raised by a stand-in for ``build_family``: the call would build a table."""
+
+
+@pytest.mark.parametrize("ordering", ["greedy", "exhaustive"])
+@pytest.mark.parametrize("family", sorted(cli._FAMILIES))
+def test_bound_refuses_a_costly_search_from_the_family_sizes_before_building(
+    capsys, monkeypatch, family, ordering
+):
+    def build(fam):
+        raise Built(fam)
+
+    monkeypatch.setattr(cli, "build_family", build)
+    refused = 0
+    for n in range(2 if family == "kint" else 1, 65):
+        fam = cli._FAMILIES[family](n, 1) if family == "kint" else cli._FAMILIES[family](n)
+        x, y = fam.x_size, fam.y_size
+        if ordering == "greedy":
+            admitted = x * y * y <= icbound.GREEDY_LIMIT
+        else:
+            admitted = y <= icbound.EXHAUSTIVE_HARD_LIMIT and x * y << (y - 1) <= icbound.EXHAUSTIVE_LIMIT
+        argv = ["bound", "--family", family, "--n", str(n), "--k", "1", "--ordering", ordering]
+        start = time.perf_counter()
+        if admitted:
+            with pytest.raises(Built):
+                main(argv)
+            continue
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, n
+        assert (code, out) == (3, ""), n
+        assert err.startswith("refused: ") and err.count("\n") == 1, err
+        refused += 1
+    assert refused > 0
 
 
 def test_bound_text_and_csv_formats(capsys):

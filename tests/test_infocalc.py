@@ -61,6 +61,11 @@ def test_entropy_uniform_and_point():
         entropy([1.5, -0.5])
 
 
+@pytest.mark.parametrize("probs", [[1.0], [1.0, 0.0], [0.0, 0.0, 1.0], np.array([0.0, 1.0])])
+def test_entropy_of_a_point_mass_is_positive_zero(probs):
+    assert math.copysign(1.0, entropy(probs)) == 1.0
+
+
 def test_joint_table_validation():
     with pytest.raises(ArgumentError):
         JointTable((2, 2), [0.5, 0.5, 0.5, 0.5])

@@ -980,7 +980,6 @@ def test_exhaustive_reads_the_table_once_and_never_rebuilds_the_path(monkeypatch
         raise AssertionError("the exhaustive search priced a path again")
 
     monkeypatch.setattr(BooleanFunction, "packed_rows", read)
-    monkeypatch.setattr(icbound, "_price", refused)
     monkeypatch.setattr(icbound, "_split", refused)
     make_ordering("exhaustive", f, InputDistribution(rng.random(20)), Symmetric(0.1))
     assert reads == [None]
@@ -1125,7 +1124,7 @@ def test_greedy_refuses_above_its_cost_limit_before_reading_the_table(monkeypatc
         raise AssertionError("the table was read")
 
     monkeypatch.setattr(icbound, "GREEDY_LIMIT", 3 * 3 * 3 - 1)
-    monkeypatch.setattr(icbound, "_columns", unread)
+    monkeypatch.setattr(BooleanFunction, "packed_rows", unread)
     with pytest.raises(GreedySearchRefusal, match=r"3 active inputs .* = 27 "):
         make_ordering("greedy", f, dist)
     monkeypatch.setattr(icbound, "GREEDY_LIMIT", 3 * 3 * 3)
